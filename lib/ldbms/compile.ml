@@ -32,6 +32,17 @@ open Sqlcore
 
 let ( let* ) = Option.bind
 
+(* The values of expressions that read no column (literals, [-3], [1 + 1]),
+   or [None]. Evaluating them once ahead of the rows is exact: they are
+   pure, and one that raises (or reads a column) makes the whole list
+   [None], so the error stays per row, where the interpreter raises it.
+   Called only on items [compile_row] accepted, so none has a subquery. *)
+let constants items =
+  let ctx = { Eval.subquery = (fun _ _ -> assert false); agg = None } in
+  match List.map (Eval.eval ctx (Eval.env [] [||])) items with
+  | vs -> Some vs
+  | exception (Eval.Type_error _ | Eval.Unknown_column _) -> None
+
 (* ---- row-closure tier ----------------------------------------------------- *)
 
 let rec compile_row schema (expr : Ast.expr) : (Row.t -> Value.t) option =
@@ -90,7 +101,7 @@ let rec compile_row schema (expr : Ast.expr) : (Row.t -> Value.t) option =
           | Value.Str s ->
               Eval.negate_tv negated (Value.Bool (Like.sql_like ~pattern s))
           | v -> raise (Eval.Type_error ("LIKE on non-string " ^ Value.to_string v)))
-  | Ast.In_list { arg; items; negated } ->
+  | Ast.In_list { arg; items; negated } -> (
       let* fa = compile_row schema arg in
       let* fis =
         List.fold_right
@@ -100,11 +111,17 @@ let rec compile_row schema (expr : Ast.expr) : (Row.t -> Value.t) option =
             Some (fi :: acc))
           items (Some [])
       in
-      Some
-        (fun row ->
-          let v = fa row in
-          let vs = List.map (fun fi -> fi row) fis in
-          Eval.negate_tv negated (Eval.in_values v vs))
+      match constants items with
+      | Some vs ->
+          (* the shipped semijoin restriction: hashed once, not per row *)
+          let set = Eval.prepare_in vs in
+          Some (fun row -> Eval.negate_tv negated (Eval.in_member set (fa row)))
+      | None ->
+          Some
+            (fun row ->
+              let v = fa row in
+              let vs = List.map (fun fi -> fi row) fis in
+              Eval.negate_tv negated (Eval.in_member (Eval.prepare_in vs) v)))
   | Ast.Between { arg; lo; hi; negated } ->
       let* fa = compile_row schema arg in
       let* flo = compile_row schema lo in

@@ -29,6 +29,12 @@ let rec lookup e ?qualifier name =
 
 let truthy = function Value.Bool true -> true | _ -> false
 
+let incomparable a b =
+  raise
+    (Type_error
+       (Printf.sprintf "cannot compare %s with %s" (Value.to_string a)
+          (Value.to_string b)))
+
 let value_compare_sql a b =
   match a, b with
   | Value.Null, _ | _, Value.Null -> None
@@ -39,11 +45,7 @@ let value_compare_sql a b =
   | Value.Str _, Value.Str _
   | Value.Bool _, Value.Bool _ ->
       Some (Value.compare a b)
-  | _ ->
-      raise
-        (Type_error
-           (Printf.sprintf "cannot compare %s with %s" (Value.to_string a)
-              (Value.to_string b)))
+  | _ -> incomparable a b
 
 let arith op a b =
   match a, b with
@@ -120,6 +122,100 @@ let concat a b =
 let negate_tv negated v =
   if negated then logic_not v else v
 
+(* ---- IN membership --------------------------------------------------------
+
+   SQL IN scans its list in order: the first member that is equal to the
+   needle answers TRUE, the first member of a class the needle cannot be
+   compared with raises, NULL members only matter when nothing matched
+   (UNKNOWN), and otherwise the answer is FALSE. A prepared set answers the
+   same question in O(1): a hash table maps each member's key to the index
+   of its first occurrence, and per needle class the set keeps the first
+   incomparable member. The needle raises exactly when that member comes
+   before its first match.
+
+   Keys are normalised so that hash equality is [Value.compare] equality:
+   an integral float in [-2^62, 2^62) is keyed as the int it equals (so
+   [3 IN (3.0)] and [-0.0 IN (0)] match, and [min_int] meets [-2^62.])
+   and every other float is kept as is: no float outside that range
+   equals an int, and ints above 2^53 are never rounded. NaN needs no
+   step: [Value.equal] makes every NaN equal to itself and [Hashtbl.hash]
+   hashes every NaN alike. *)
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+
+  (* ints, the usual join key, skip the generic C hash: multiply, then
+     fold the high bits down, since the table indexes by the low bits *)
+  let hash = function
+    | Value.Int i ->
+        let h = i * 0x2545F4914F6CDD1D in
+        h lxor (h lsr 29)
+    | v -> Hashtbl.hash v
+end)
+
+let in_key = function
+  | Value.Float f as v ->
+      if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then
+        Value.Int (int_of_float f)
+      else v
+  | v -> v
+
+(* comparable classes: numbers, strings, booleans *)
+let in_class = function
+  | Value.Int _ | Value.Float _ -> 0
+  | Value.Str _ -> 1
+  | Value.Bool _ -> 2
+  | Value.Null -> invalid_arg "in_class"
+
+type in_set = {
+  first : int Key_tbl.t;  (* member key -> index of its first occurrence *)
+  clash_at : int array;  (* per needle class: first incomparable index *)
+  clash : Value.t array;  (* ... and the member found there *)
+  has_null : bool;
+}
+
+let prepare_in members =
+  let first = Key_tbl.create (List.length members) in
+  let class_at = Array.make 3 max_int and class_member = Array.make 3 Value.Null in
+  let has_null = ref false in
+  List.iteri
+    (fun i x ->
+      if Value.is_null x then has_null := true
+      else begin
+        let c = in_class x in
+        if class_at.(c) = max_int then begin
+          class_at.(c) <- i;
+          class_member.(c) <- x
+        end;
+        let k = in_key x in
+        if not (Key_tbl.mem first k) then Key_tbl.add first k i
+      end)
+    members;
+  let clash_at = Array.make 3 max_int and clash = Array.make 3 Value.Null in
+  for c = 0 to 2 do
+    for d = 0 to 2 do
+      if d <> c && class_at.(d) < clash_at.(c) then begin
+        clash_at.(c) <- class_at.(d);
+        clash.(c) <- class_member.(d)
+      end
+    done
+  done;
+  { first; clash_at; clash; has_null = !has_null }
+
+let in_member s v =
+  if Value.is_null v then Value.Null
+  else
+    let c = in_class v in
+    let hit =
+      match Key_tbl.find_opt s.first (in_key v) with Some i -> i | None -> max_int
+    in
+    if s.clash_at.(c) < hit then incomparable v s.clash.(c)
+    else if hit < max_int then Value.Bool true
+    else if s.has_null then Value.Null
+    else Value.Bool false
+
 let rec eval ctx e expr =
   match expr with
   | Ast.Lit v -> v
@@ -150,7 +246,7 @@ let rec eval ctx e expr =
   | Ast.In_list { arg; items; negated } ->
       let v = eval ctx e arg in
       let vs = List.map (eval ctx e) items in
-      negate_tv negated (in_values v vs)
+      negate_tv negated (in_member (prepare_in vs) v)
   | Ast.Between { arg; lo; hi; negated } ->
       let v = eval ctx e arg in
       let lo = eval ctx e lo and hi = eval ctx e hi in
@@ -172,36 +268,12 @@ let rec eval ctx e expr =
   | Ast.In_subquery { arg; query; negated } ->
       let v = eval ctx e arg in
       let r = ctx.subquery (Some e) query in
-      let vs =
-        List.map
-          (fun row ->
-            if Array.length row <> 1 then
-              raise (Type_error "IN subquery must return one column")
-            else Row.get row 0)
-          (Relation.rows r)
-      in
-      negate_tv negated (in_values v vs)
+      (* the arity is the result's, not its rows': an empty result with
+         two columns is as wrong as a full one *)
+      if List.length (Relation.schema r) <> 1 then
+        raise (Type_error "IN subquery must return one column");
+      let vs = List.map (fun row -> Row.get row 0) (Relation.rows r) in
+      negate_tv negated (in_member (prepare_in vs) v)
   | Ast.Exists q ->
       let r = ctx.subquery (Some e) q in
       Value.Bool (not (Relation.is_empty r))
-
-(* SQL IN semantics: TRUE if an equal member exists; otherwise UNKNOWN if
-   any comparison was with NULL (or the needle is NULL); otherwise FALSE. *)
-and in_values v vs =
-  if Value.is_null v then Value.Null
-  else
-    let saw_null = ref false in
-    let found =
-      List.exists
-        (fun x ->
-          match value_compare_sql v x with
-          | None ->
-              saw_null := true;
-              false
-          | Some 0 -> true
-          | Some _ -> false)
-        vs
-    in
-    if found then Value.Bool true
-    else if !saw_null then Value.Null
-    else Value.Bool false

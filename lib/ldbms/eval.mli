@@ -63,6 +63,18 @@ val concat : Sqlcore.Value.t -> Sqlcore.Value.t -> Sqlcore.Value.t
 val negate_tv : bool -> Sqlcore.Value.t -> Sqlcore.Value.t
 (** Apply three-valued NOT when the flag is set ([negated] forms). *)
 
-val in_values : Sqlcore.Value.t -> Sqlcore.Value.t list -> Sqlcore.Value.t
-(** SQL IN: TRUE on an equal member, else UNKNOWN if any comparison
-    involved NULL, else FALSE. *)
+type in_set
+(** The members of an IN list, prepared for O(1) membership tests. *)
+
+val prepare_in : Sqlcore.Value.t list -> in_set
+(** [prepare_in members] hashes the members once, keyed by
+    {!Sqlcore.Value.compare} equality (ints and integral floats meet,
+    ints above 2^53 stay exact, NaN equals NaN). O(n); it never raises. *)
+
+val in_member : in_set -> Sqlcore.Value.t -> Sqlcore.Value.t
+(** SQL IN, exactly as an in-order scan of the members with
+    {!value_compare_sql} would answer it: NULL for a NULL needle; TRUE on
+    an equal member; {!Type_error} when a member of a class the needle
+    cannot be compared with comes before the first equal one (with that
+    member in the message); else UNKNOWN if any member is NULL; else
+    FALSE. O(1) per needle. *)

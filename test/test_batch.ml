@@ -284,6 +284,103 @@ let test_fuzz_compile_row () =
     true
     (!compiled > 300)
 
+(* The list scan SQL IN used to be, kept here as the reference the
+   prepared-set membership of both tiers must reproduce: TRUE on the first
+   equal member; a Type_error from the first incomparable member met
+   before that; else UNKNOWN if a member (or the needle) is NULL; else
+   FALSE. *)
+let ref_in_values v vs =
+  if Value.is_null v then Value.Null
+  else
+    let saw_null = ref false in
+    let found =
+      List.exists
+        (fun x ->
+          match Eval.value_compare_sql v x with
+          | None ->
+              saw_null := true;
+              false
+          | Some 0 -> true
+          | Some _ -> false)
+        vs
+    in
+    if found then Value.Bool true
+    else if !saw_null then Value.Null
+    else Value.Bool false
+
+(* values where a hashed key could part from [Value.compare] equality *)
+let in_traps =
+  [|
+    Value.Null; i 0; i 3; i (-7); f 3.0; f 0.0; f (-0.0); f 2.5; i big;
+    i (big - 1); f (float_of_int (big - 1)); i min_int; f (-0x1p62);
+    f 0x1p62; i max_int; f Float.nan; f (-.Float.nan); f Float.infinity;
+    s "alpha"; s ""; Value.Bool true; Value.Bool false;
+  |]
+
+(* long IN lists (up to 200 members), mostly distinct fillers with traps,
+   NULLs and incomparable classes sprinkled at random positions, so the
+   first match and the first incomparable member fall on either side of
+   each other; a few members are [-k] or a column, which take the
+   constant-folded and the per-row set paths *)
+let gen_long_in rng =
+  let open Ast in
+  let p_trap = Random.State.int rng 20
+  and p_null = Random.State.int rng 3
+  and p_other_class = Random.State.int rng 3 in
+  let member k =
+    let r = Random.State.int rng 100 in
+    if r < p_trap then Lit in_traps.(Random.State.int rng (Array.length in_traps))
+    else if r < p_trap + p_null then Lit Value.Null
+    else if r < p_trap + p_null + p_other_class then
+      Lit (if Random.State.bool rng then s "beta" else Value.Bool false)
+    else if r = 99 then Unop (Neg, Lit (i k))
+    else if r = 98 then col (col_name (Random.State.int rng 5))
+    else Lit (if Random.State.bool rng then i (1000 + k) else f (float_of_int k +. 0.5))
+  in
+  let arg =
+    if Random.State.bool rng then col (col_name (Random.State.int rng 5))
+    else Lit in_traps.(Random.State.int rng (Array.length in_traps))
+  in
+  let items = List.init (1 + Random.State.int rng 200) member in
+  (arg, items, Random.State.bool rng)
+
+let test_fuzz_long_in_lists () =
+  let rng = Random.State.make [| 2718 |] in
+  let seen = Hashtbl.create 4 in
+  let show = function Ok v -> Value.to_string v | Error m -> m in
+  for _ = 1 to 1500 do
+    let arg, items, negated = gen_long_in rng in
+    let e = Ast.In_list { arg; items; negated } in
+    let closure =
+      match Compile.compile_row fuzz_schema e with
+      | Some c -> c
+      | None -> Alcotest.fail "an IN list over local columns must compile"
+    in
+    for _ = 1 to 3 do
+      let row = gen_row rng in
+      let env = Eval.env fuzz_schema row in
+      let want =
+        outcome (fun () ->
+            let v = Eval.eval ctx env arg in
+            let vs = List.map (Eval.eval ctx env) items in
+            Eval.negate_tv negated (ref_in_values v vs))
+      in
+      let interp = outcome (fun () -> Eval.eval ctx env e) in
+      let compiled = outcome (fun () -> closure row) in
+      if interp <> want || compiled <> want then
+        Alcotest.failf "IN over %d members: list scan %s, interpreter %s, \
+                        compiled %s"
+          (List.length items) (show want) (show interp) (show compiled);
+      Hashtbl.replace seen
+        (match want with Ok v -> Value.to_string v | Error _ -> "error")
+        ()
+    done
+  done;
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) ("fuzz reached outcome " ^ o) true (Hashtbl.mem seen o))
+    [ "TRUE"; "FALSE"; "NULL"; "error" ]
+
 (* predicates shaped to the batch tier's coverage — column-vs-literal
    comparisons (both orientations), Kleene connectives, IS NULL, LIKE,
    BETWEEN — with literal classes usually, not always, matching the
@@ -561,6 +658,8 @@ let () =
             test_fuzz_compile_row;
           Alcotest.test_case "batch kernels vs interpreter" `Quick
             test_fuzz_compile_batch;
+          Alcotest.test_case "long IN lists vs list scan" `Quick
+            test_fuzz_long_in_lists;
         ] );
       ( "streaming",
         [

@@ -100,7 +100,19 @@ let test_in_matrix () =
   Alcotest.check value "hit despite null" t3 (eval_sql "1 IN (NULL, 1)");
   Alcotest.check value "null needle" u3 (eval_sql "NULL IN (1, 2)");
   Alcotest.check value "not in hit" f3 (eval_sql "2 NOT IN (1, 2)");
-  Alcotest.check value "not in with null" u3 (eval_sql "9 NOT IN (1, NULL)")
+  Alcotest.check value "not in with null" u3 (eval_sql "9 NOT IN (1, NULL)");
+  (* the list answers as an in-order scan: an incomparable member raises
+     only when it comes before the first match *)
+  Alcotest.check value "match before incomparable" t3
+    (eval_sql "1 IN (1, 'a')");
+  (match eval_sql "1 IN ('a', 1)" with
+  | exception Eval.Type_error m ->
+      Alcotest.(check string) "incomparable before match" "cannot compare 1 with a" m
+  | v -> Alcotest.failf "expected a type error, got %s" (Value.to_string v));
+  Alcotest.check value "int meets integral float" t3 (eval_sql "3 IN (1.0, 3.0)");
+  (* 2^53 + 1 is not the double 2^53: no rounding on the way to a key *)
+  Alcotest.check value "big int stays exact" f3
+    (eval_sql "9007199254740993 IN (9007199254740992.0)")
 
 let test_between () =
   Alcotest.check value "inside" t3 (eval_sql "2 BETWEEN 1 AND 3");

@@ -70,6 +70,39 @@ let test_select_in_and_between () =
   Alcotest.(check int) "not in with null" 0
     (List.length (rows_of (q s "SELECT code FROM cars WHERE code NOT IN (9, NULL)")))
 
+(* A long constant IN list is hashed once per statement, so filtering a
+   row allocates the same whether the list has 2 members or 200 (a list
+   scan rebuilt a 200-cell member list per row). The members are negative,
+   as a semijoin splice prints them: [-1] parses as a negation, not a
+   literal, and must still count as a constant. Minor words are exact in
+   one domain. The per-row figure is the slope between a 4,000-row and an
+   8,000-row table, which cancels what a statement costs once (parsing
+   and compiling the longer text). *)
+let test_in_list_allocation () =
+  let n = 4000 in
+  let db = Ldbms.Database.create "big" in
+  let schema = [ Schema.column "id" Ty.Int; Schema.column "v" Ty.Str ] in
+  let rows k = List.init k (fun id -> [| Value.Int id; Value.Str "x" |]) in
+  Ldbms.Database.load db ~name:"t" schema (rows n);
+  Ldbms.Database.load db ~name:"u" schema (rows (2 * n));
+  let s = Session.connect db Caps.ingres_like in
+  let words table members =
+    let sql =
+      Printf.sprintf "SELECT id FROM %s WHERE id IN (7, %s)" table
+        (String.concat ", "
+           (List.init (members - 1) (fun k -> string_of_int (-k - 1))))
+    in
+    Alcotest.(check int) "one match" 1 (List.length (rows_of (q s sql)));
+    let before = Gc.minor_words () in
+    ignore (q s sql);
+    Gc.minor_words () -. before
+  in
+  let per_row members = (words "u" members -. words "t" members) /. float_of_int n in
+  let short = per_row 2 and long = per_row 200 in
+  if long -. short > 2. then
+    Alcotest.failf "200-member IN allocates %.1f words/row vs %.1f for 2" long
+      short
+
 let test_select_like () =
   let s = connect () in
   Alcotest.(check int) "like s%" 2
@@ -115,7 +148,12 @@ let test_subqueries () =
   Alcotest.(check int) "correlated exists" 3
     (List.length
        (rows_of (q s "SELECT code FROM cars c WHERE EXISTS (SELECT * FROM cars d WHERE d.code = c.code)")));
-  expect_error (q s "SELECT code FROM cars WHERE code = (SELECT code FROM cars)")
+  expect_error (q s "SELECT code FROM cars WHERE code = (SELECT code FROM cars)");
+  (* a two-column IN subquery is an error whether or not it returns rows *)
+  expect_error
+    (q s "SELECT code FROM cars WHERE code IN (SELECT code, rate FROM cars WHERE code > 0)");
+  expect_error
+    (q s "SELECT code FROM cars WHERE code IN (SELECT code, rate FROM cars WHERE code > 9)")
 
 let test_ambiguous_column () =
   let s = connect () in
@@ -377,6 +415,7 @@ let () =
           Alcotest.test_case "where" `Quick test_select_where;
           Alcotest.test_case "null 3vl" `Quick test_select_null_semantics;
           Alcotest.test_case "in/between" `Quick test_select_in_and_between;
+          Alcotest.test_case "in-list allocation" `Quick test_in_list_allocation;
           Alcotest.test_case "like" `Quick test_select_like;
           Alcotest.test_case "order/distinct" `Quick test_select_order_distinct;
           Alcotest.test_case "aggregates" `Quick test_select_aggregates;

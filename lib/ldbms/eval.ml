@@ -133,34 +133,8 @@ let negate_tv negated v =
    incomparable member. The needle raises exactly when that member comes
    before its first match.
 
-   Keys are normalised so that hash equality is [Value.compare] equality:
-   an integral float in [-2^62, 2^62) is keyed as the int it equals (so
-   [3 IN (3.0)] and [-0.0 IN (0)] match, and [min_int] meets [-2^62.])
-   and every other float is kept as is: no float outside that range
-   equals an int, and ints above 2^53 are never rounded. NaN needs no
-   step: [Value.equal] makes every NaN equal to itself and [Hashtbl.hash]
-   hashes every NaN alike. *)
-
-module Key_tbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-
-  (* ints, the usual join key, skip the generic C hash: multiply, then
-     fold the high bits down, since the table indexes by the low bits *)
-  let hash = function
-    | Value.Int i ->
-        let h = i * 0x2545F4914F6CDD1D in
-        h lxor (h lsr 29)
-    | v -> Hashtbl.hash v
-end)
-
-let in_key = function
-  | Value.Float f as v ->
-      if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then
-        Value.Int (int_of_float f)
-      else v
-  | v -> v
+   Keys are {!Value.sql_key}s, so hash equality is [Value.compare]
+   equality ([3 IN (3.0)] and [-0.0 IN (0)] match). *)
 
 (* comparable classes: numbers, strings, booleans *)
 let in_class = function
@@ -170,14 +144,14 @@ let in_class = function
   | Value.Null -> invalid_arg "in_class"
 
 type in_set = {
-  first : int Key_tbl.t;  (* member key -> index of its first occurrence *)
+  first : int Value.Key_tbl.t;  (* member key -> index of its first occurrence *)
   clash_at : int array;  (* per needle class: first incomparable index *)
   clash : Value.t array;  (* ... and the member found there *)
   has_null : bool;
 }
 
 let prepare_in members =
-  let first = Key_tbl.create (List.length members) in
+  let first = Value.Key_tbl.create (List.length members) in
   let class_at = Array.make 3 max_int and class_member = Array.make 3 Value.Null in
   let has_null = ref false in
   List.iteri
@@ -189,8 +163,8 @@ let prepare_in members =
           class_at.(c) <- i;
           class_member.(c) <- x
         end;
-        let k = in_key x in
-        if not (Key_tbl.mem first k) then Key_tbl.add first k i
+        let k = Value.sql_key x in
+        if not (Value.Key_tbl.mem first k) then Value.Key_tbl.add first k i
       end)
     members;
   let clash_at = Array.make 3 max_int and clash = Array.make 3 Value.Null in
@@ -209,7 +183,9 @@ let in_member s v =
   else
     let c = in_class v in
     let hit =
-      match Key_tbl.find_opt s.first (in_key v) with Some i -> i | None -> max_int
+      match Value.Key_tbl.find_opt s.first (Value.sql_key v) with
+      | Some i -> i
+      | None -> max_int
     in
     if s.clash_at.(c) < hit then incomparable v s.clash.(c)
     else if hit < max_int then Value.Bool true

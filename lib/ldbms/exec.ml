@@ -125,11 +125,12 @@ let load_leaf ~eval_select ~depth ?txn db (r : Ast.table_ref) =
 
 (* ---- aggregates -------------------------------------------------------- *)
 
-let compute_agg ctx schema rows (fn, distinct, arg) =
-  let values_of e =
+(* [arg] is the per-row evaluator of the aggregate's argument *)
+let compute_agg rows (fn, distinct, arg) =
+  let values_of f =
     List.filter_map
       (fun row ->
-        let v = Eval.eval ctx (Eval.env schema row) e in
+        let v = f row in
         if Value.is_null v then None else Some v)
       rows
   in
@@ -191,11 +192,20 @@ let compute_agg ctx schema rows (fn, distinct, arg) =
 
 (* ---- index fast path ----------------------------------------------------- *)
 
+(* hash-join and index keys compare Int and Float numerically, so classing
+   them together is exact; everything else joins only within its own class *)
+let ty_class = function
+  | Ty.Int | Ty.Float -> `Num
+  | Ty.Str -> `Str
+  | Ty.Bool -> `Bool
+
 (* When the FROM clause is a single base table and the WHERE clause contains
    a top-level conjunct [col = literal] on a declared-indexed column, seed
-   the scan from the hash lookup instead of the full table. The complete
+   the scan from the hash lookup instead of the full table. The lookup
+   returns exactly the rows [col = literal] keeps, and the complete
    predicate is still applied afterwards, so this is purely a physical
-   optimization. *)
+   optimization. A literal of another class than the column's is left to
+   the scan: there the comparison raises, as it must. *)
 let rec where_conjuncts = function
   | Ast.Binop (Ast.And, a, b) -> where_conjuncts a @ where_conjuncts b
   | e -> [ e ]
@@ -216,12 +226,18 @@ let indexed_scan ?txn db (s : Ast.select) =
             && Schema.mem schema name
             && Database.has_index db ~table ~column:name
           in
+          let same_class i v =
+            match Value.ty v with
+            | Some t -> ty_class t = ty_class (List.nth schema i).Schema.ty
+            | None -> true
+          in
           let candidate = function
             | Ast.Binop (Ast.Eq, Ast.Col { qualifier; name }, Ast.Lit v)
             | Ast.Binop (Ast.Eq, Ast.Lit v, Ast.Col { qualifier; name })
-              when col_matches qualifier name ->
-                Schema.find_index schema name
-                |> Option.map (fun i -> (i, v))
+              when col_matches qualifier name -> (
+                match Schema.find_index schema name with
+                | Some i when same_class i v -> Some (i, v)
+                | Some _ | None -> None)
             | _ -> None
           in
           List.find_map candidate (where_conjuncts pred)
@@ -423,6 +439,17 @@ let rec expr_has_subquery = function
       expr_has_subquery arg || expr_has_subquery lo || expr_has_subquery hi
   | Ast.Agg { arg; _ } -> Option.fold ~none:false ~some:expr_has_subquery arg
 
+(* The per-row evaluator of [e] over rows of [schema], for one statement:
+   the compiled closure when {!Compile.compile_row} accepts [e], else the
+   interpreter on [mkenv row]. The interpreter keeps what the closure
+   cannot carry (subqueries, outer references, ambiguous or unknown
+   columns, aggregates) and raises exactly where it always did: an
+   unknown column only on a row that reaches it. *)
+let row_eval ctx mkenv schema e =
+  match if expr_has_subquery e then None else compile_cached schema e with
+  | Some f -> f
+  | None -> fun row -> Eval.eval ctx (mkenv row) e
+
 let rec iter_plain_cols f = function
   | Ast.Col { qualifier; name } -> f ?qualifier name
   | Ast.Lit _ -> ()
@@ -460,21 +487,6 @@ let resolve_over_leaves leaves ?qualifier name =
          leaves)
   in
   match hits with [ h ] -> `One h | [] -> `None | _ :: _ :: _ -> `Many
-
-(* hash-join keys compare Int and Float numerically, so classing them
-   together is exact; everything else joins only within its own class *)
-let ty_class = function
-  | Ty.Int | Ty.Float -> `Num
-  | Ty.Str -> `Str
-  | Ty.Bool -> `Bool
-
-(* align a probe value with the representation the lookup index stores for
-   the column (index keys are exact literals) *)
-let probe_value col_ty v =
-  match v, col_ty with
-  | Value.Int i, Ty.Float -> Value.Float (float_of_int i)
-  | Value.Float f, Ty.Int when Float.is_integer f -> Value.Int (int_of_float f)
-  | _ -> v
 
 (* Plan a multi-leaf FROM clause: extract top-level equi-join conjuncts
    from WHERE, order the joins greedily by cardinality, and execute them as
@@ -581,12 +593,12 @@ let plan_join_input ?txn ?note db leaves (where : Ast.expr) =
                     if
                       Database.has_index db ~table:tname ~column:cd.Schema.name
                       && current_view txn tbl
-                    then Some (tbl, cd.Schema.ty)
+                    then Some tbl
                     else None
                 | None -> None
               in
               match indexed with
-              | Some (tbl, col_ty) ->
+              | Some tbl ->
                   let out_schema =
                     Relation.schema !acc @ Relation.schema jl.jl_rel
                   in
@@ -595,8 +607,7 @@ let plan_join_input ?txn ?note db leaves (where : Ast.expr) =
                       (fun ra ->
                         List.map
                           (fun rb -> Row.append ra rb)
-                          (Table.lookup_eq tbl ~col
-                             (probe_value col_ty (Row.get ra off))))
+                          (Table.lookup_eq tbl ~col (Row.get ra off)))
                       (Relation.rows !acc)
                   in
                   Relation.make out_schema out
@@ -758,14 +769,7 @@ and plain_select ~depth ?txn db ~outer schema input (s : Ast.select) =
   let cols = expand_projections schema s.Ast.projections in
   let out_schema = List.map fst cols in
   let mkenv row = { (Eval.env schema row) with Eval.outer } in
-  (* projection expressions compile once per statement; anything the
-     compiler declines (subqueries, outer references) keeps the
-     interpreter per-expression *)
-  let compiled_expr e =
-    match compile_cached schema e with
-    | Some f -> f
-    | None -> fun row -> Eval.eval ctx (mkenv row) e
-  in
+  let compiled_expr = row_eval ctx mkenv schema in
   let col_fns =
     List.map
       (fun (_, src) ->
@@ -812,14 +816,13 @@ and aggregate_select ~depth ?txn db ~outer schema input (s : Ast.select) =
     | [] -> (
         match Relation.rows input with [] -> [ [] ] | rows -> [ rows ])
     | keys ->
+        let key_fns = List.map (row_eval plain_ctx mkenv schema) keys in
         let tbl = Hashtbl.create 16 in
         let order = ref [] in
         List.iter
           (fun row ->
             let k =
-              List.map
-                (fun e -> Value.to_literal (Eval.eval plain_ctx (mkenv row) e))
-                keys
+              List.map (fun f -> Value.to_literal (f row)) key_fns
               |> String.concat "\x00"
             in
             (match Hashtbl.find_opt tbl k with
@@ -837,10 +840,21 @@ and aggregate_select ~depth ?txn db ~outer schema input (s : Ast.select) =
     | _ :: _, _ -> groups
     | [], gs -> gs
   in
+  (* aggregate arguments compile once per statement, not per group; the
+     interpreter fallback sees no outer scope, as it never has *)
+  let arg_fns = ref [] in
+  let arg_fn e =
+    match List.assq_opt e !arg_fns with
+    | Some f -> f
+    | None ->
+        let f = row_eval plain_ctx (Eval.env schema) schema e in
+        arg_fns := (e, f) :: !arg_fns;
+        f
+  in
   let group_ctx rows =
     let agg_f = function
       | Ast.Agg { fn; distinct; arg } ->
-          compute_agg plain_ctx schema rows (fn, distinct, arg)
+          compute_agg rows (fn, distinct, Option.map arg_fn arg)
       | _ -> assert false
     in
     {
@@ -940,17 +954,18 @@ let coerce_for_column (c : Schema.column) v =
       err "value %s does not fit column %s of type %s" (Value.to_string v)
         c.Schema.name (Ty.to_string c.Schema.ty)
 
+(* DML reads, subqueries included, go through the statement's transaction *)
+let dml_ctx db txn =
+  {
+    Eval.subquery = (fun env q -> subquery_eval ~depth:0 ~txn db env q);
+    agg = None;
+  }
+
 let run_insert db ~txn ~table ~columns ~source =
   wrap (fun () ->
       let tbl = Database.find_table db table in
       let schema = Table.schema tbl in
-      let ctx =
-        {
-          Eval.subquery =
-            (fun env q -> subquery_eval ~depth:0 ~txn db env q);
-          agg = None;
-        }
-      in
+      let ctx = dml_ctx db txn in
       let empty_env = Eval.env [] [||] in
       let make_full_row provided_cols values =
         match provided_cols with
@@ -988,68 +1003,57 @@ let run_insert db ~txn ~table ~columns ~source =
       Txn.stage txn tbl ~op:"write" (before @ rows);
       List.length rows)
 
+(* The WHERE of an UPDATE or DELETE as a per-row test, compiled once per
+   statement like a SELECT's. *)
+let dml_match ctx schema = function
+  | None -> fun _ -> true
+  | Some pred ->
+      let f = row_eval ctx (Eval.env schema) schema pred in
+      fun row -> Eval.truthy (f row)
+
 let run_update db ~txn ~table ~assignments ~where =
   wrap (fun () ->
       let tbl = Database.find_table db table in
       let schema = Table.schema tbl in
-      let ctx =
-        {
-          Eval.subquery =
-            (fun env q -> subquery_eval ~depth:0 ~txn db env q);
-          agg = None;
-        }
-      in
+      let ctx = dml_ctx db txn in
       let targets =
         List.map
           (fun (cname, e) ->
             match Schema.find_index schema cname with
-            | Some i -> (i, List.nth schema i, e)
+            | Some i ->
+                (i, List.nth schema i, row_eval ctx (Eval.env schema) schema e)
             | None -> err "unknown column %s in UPDATE %s" cname table)
           assignments
       in
-      let matches row =
-        match where with
-        | None -> true
-        | Some pred -> Eval.truthy (Eval.eval ctx (Eval.env schema row) pred)
-      in
-      (* Evaluate the row set (including subqueries in WHERE) against the
-         pre-update state, then apply. *)
+      let matches = dml_match ctx schema where in
+      (* WHERE, then each SET in order, all read the pre-update row
+         (subqueries included), then the new rows are staged *)
       let before = table_rows (Some txn) tbl in
+      let count = ref 0 in
       let planned =
         List.map
           (fun row ->
             if matches row then begin
+              incr count;
               let updated = Array.copy row in
               List.iter
-                (fun (i, col, e) ->
-                  updated.(i) <-
-                    coerce_for_column col (Eval.eval ctx (Eval.env schema row) e))
+                (fun (i, col, f) -> updated.(i) <- coerce_for_column col (f row))
                 targets;
-              (updated, true)
+              updated
             end
-            else (row, false))
+            else row)
           before
       in
-      validate_constraints ~table schema (List.map fst planned);
-      Txn.stage txn tbl ~op:"write" (List.map fst planned);
-      List.length (List.filter snd planned))
+      validate_constraints ~table schema planned;
+      Txn.stage txn tbl ~op:"write" planned;
+      !count)
 
 let run_delete db ~txn ~table ~where =
   wrap (fun () ->
       let tbl = Database.find_table db table in
       let schema = Table.schema tbl in
-      let ctx =
-        {
-          Eval.subquery =
-            (fun env q -> subquery_eval ~depth:0 ~txn db env q);
-          agg = None;
-        }
-      in
-      let matches row =
-        match where with
-        | None -> true
-        | Some pred -> Eval.truthy (Eval.eval ctx (Eval.env schema row) pred)
-      in
+      let ctx = dml_ctx db txn in
+      let matches = dml_match ctx schema where in
       let before = table_rows (Some txn) tbl in
       let kept = List.filter (fun r -> not (matches r)) before in
       Txn.stage txn tbl ~op:"write" kept;

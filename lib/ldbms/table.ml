@@ -22,8 +22,9 @@ type t = {
       (* transaction id holding a prepare-time write reservation; a
          prepared participant must never lose a conflict race after
          promising, so the reservation blocks competing writers *)
-  (* lazy equality-lookup cache: column -> (version built at, hash map) *)
-  lookup_cache : (int, int * (string, Sqlcore.Row.t list) Hashtbl.t) Hashtbl.t;
+  (* lazy equality-lookup cache: column -> (version built at, hash map
+     from each value's SQL-equality key to its rows, newest first) *)
+  lookup_cache : (int, int * Sqlcore.Row.t list Sqlcore.Value.Key_tbl.t) Hashtbl.t;
 }
 
 let create ~name schema =
@@ -105,24 +106,27 @@ let release_reservation t ~txn =
   | Some id when id = txn -> t.reserved_by <- None
   | _ -> ()
 
+(* Keyed by [Value.sql_key], so a lookup returns exactly the rows an
+   SQL [col = v] keeps: 3 finds 3.0, 0.0 finds -0.0. *)
 let lookup_eq t ~col v =
+  let module K = Sqlcore.Value.Key_tbl in
   if Sqlcore.Value.is_null v then []
   else begin
     let map =
       match Hashtbl.find_opt t.lookup_cache col with
       | Some (built_at, map) when built_at = t.version -> map
       | Some _ | None ->
-          let map = Hashtbl.create (max 16 (cardinality t)) in
+          let map = K.create (max 16 (cardinality t)) in
           List.iter
             (fun row ->
-              let key = Sqlcore.Value.to_literal row.(col) in
-              let prev = Option.value (Hashtbl.find_opt map key) ~default:[] in
-              Hashtbl.replace map key (row :: prev))
+              let key = Sqlcore.Value.sql_key row.(col) in
+              let prev = Option.value (K.find_opt map key) ~default:[] in
+              K.replace map key (row :: prev))
             (rows t);
           Hashtbl.replace t.lookup_cache col (t.version, map);
           map
     in
-    match Hashtbl.find_opt map (Sqlcore.Value.to_literal v) with
+    match K.find_opt map (Sqlcore.Value.sql_key v) with
     | Some rows -> List.rev rows
     | None -> []
   end

@@ -51,6 +51,8 @@ val release_reservation : t -> txn:int -> unit
 (** Releases only if [txn] holds the reservation; no-op otherwise. *)
 
 val lookup_eq : t -> col:int -> Sqlcore.Value.t -> Sqlcore.Row.t list
-(** Rows whose [col]-th field equals the value (never matches NULL), via a
-    lazily built hash map that is rebuilt when the table changes. Row
+(** Rows whose [col]-th field equals the value under SQL equality
+    ({!Sqlcore.Value.equal}: [3] finds [3.0], [0.0] finds [-0.0]; NULL
+    never matches), via a lazily built {!Sqlcore.Value.Key_tbl} that is
+    rebuilt when the table changes. Row
     order is preserved. Always reads the current version. *)

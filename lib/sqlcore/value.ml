@@ -44,6 +44,33 @@ let compare a b =
    can never disagree with the order it sorted by. *)
 let equal a b = compare a b = 0
 
+(* Hash keys for SQL equality: [Key_tbl] finds [b] under [sql_key a]
+   exactly when [equal a b]. An integral float in [-2^62, 2^62) is keyed
+   as the int it equals (so 3 meets 3.0, -0.0 meets 0, and [min_int]
+   meets [-2^62.]) and every other float is kept as is: no float outside
+   that range equals an int, and ints above 2^53 are never rounded. NaN
+   needs no step: [equal] makes every NaN equal to itself and
+   [Hashtbl.hash] hashes every NaN alike. *)
+let sql_key = function
+  | Float f as v ->
+      if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then Int (int_of_float f)
+      else v
+  | v -> v
+
+module Key_tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  (* ints, the usual key, skip the generic C hash: multiply, then fold
+     the high bits down, since the table indexes by the low bits *)
+  let hash = function
+    | Int i ->
+        let h = i * 0x2545F4914F6CDD1D in
+        h lxor (h lsr 29)
+    | v -> Hashtbl.hash v
+end)
+
 let ty = function
   | Null -> None
   | Int _ -> Some Ty.Int

@@ -22,6 +22,16 @@ val compare : t -> t -> int
     so adjacent ints above 2^53 are not merged by a detour through
     double rounding and the order stays transitive. *)
 
+val sql_key : t -> t
+(** The hash key of a value under SQL equality ({!equal}): integral
+    floats in [-2{^62}, 2{^62}) become the int they equal ([-0.0] becomes
+    [0]); every other value is its own key. *)
+
+module Key_tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by {!sql_key}ed values and compared with {!equal}:
+    look a value up under its [sql_key], and it meets every value
+    [equal] to it (IN sets, index lookups). *)
+
 val ty : t -> Ty.t option
 (** Type of a non-null value; [None] for [Null]. *)
 

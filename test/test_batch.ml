@@ -284,6 +284,301 @@ let test_fuzz_compile_row () =
     true
     (!compiled > 300)
 
+(* ---- differential: compiled DML and aggregate inputs vs the interpreter --
+
+   UPDATE, DELETE and GROUP BY queries run through [Ldbms.Session] (which
+   compiles their per-row expressions) and are checked against a reference
+   the test computes itself with [Eval.eval] on the pre-update rows: final
+   rows, affected counts and error messages. Subqueries run through the
+   executor in both, against a second table [s], and may refer to the
+   outer row's [n]. *)
+
+let side_schema = [ col "k" Ty.Int; col "v" Ty.Float ]
+let side_rows = [ [| i 1; f 2.5 |]; [| i 2; Value.Null |]; [| i 1; f (-1.) |] ]
+
+let dml_db rows =
+  let db = Ldbms.Database.create "fz" in
+  Ldbms.Database.load db ~name:"t" fuzz_schema rows;
+  Ldbms.Database.load db ~name:"s" side_schema side_rows;
+  db
+
+let run_stmt rows stmt =
+  let sess = Ldbms.Session.connect (dml_db rows) Ldbms.Capabilities.ingres_like in
+  match Ldbms.Session.exec sess stmt with
+  | Error m -> Error m
+  | Ok (Ldbms.Session.Affected k) -> (
+      match Ldbms.Session.exec_sql sess "SELECT * FROM t" with
+      | Ok (Ldbms.Session.Rows r) -> Ok (Relation.rows r, k)
+      | _ -> Alcotest.fail "reading back t")
+  | Ok (Ldbms.Session.Rows r) -> Ok (Relation.rows r, 0)
+  | Ok _ -> Alcotest.fail "unexpected result"
+
+(* the interpreter, with subqueries run by the executor on the pre-update
+   database, and the executor's error texts *)
+let reference rows f =
+  let db = dml_db rows in
+  let ctx =
+    {
+      Eval.subquery = (fun outer q -> Ldbms.Exec.run_select db ?outer q);
+      agg = None;
+    }
+  in
+  match f ctx with
+  | r -> Ok r
+  | exception Eval.Type_error m -> Error ("type error: " ^ m)
+  | exception Eval.Unknown_column c -> Error ("unknown column: " ^ c)
+  | exception Eval.Ambiguous_column c -> Error ("ambiguous column: " ^ c)
+  | exception Ldbms.Exec.Error m -> Error m
+
+let coerce (c : Schema.column) v =
+  match v, c.Schema.ty with
+  | Value.Null, _ -> Value.Null
+  | Value.Int k, Ty.Float -> f (float_of_int k)
+  | Value.Int _, Ty.Int | Value.Float _, Ty.Float | Value.Str _, Ty.Str
+  | Value.Bool _, Ty.Bool ->
+      v
+  | _ ->
+      raise
+        (Ldbms.Exec.Error
+           (Printf.sprintf "value %s does not fit column %s of type %s"
+              (Value.to_string v) c.Schema.name (Ty.to_string c.Schema.ty)))
+
+let ref_update rows ~sets ~where =
+  reference rows (fun ctx ->
+      let count = ref 0 in
+      let out =
+        List.map
+          (fun row ->
+            let env = Eval.env fuzz_schema row in
+            let hit =
+              match where with
+              | None -> true
+              | Some p -> Eval.truthy (Eval.eval ctx env p)
+            in
+            if not hit then row
+            else begin
+              incr count;
+              let u = Array.copy row in
+              List.iter
+                (fun (name, e) ->
+                  let j = Option.get (Schema.find_index fuzz_schema name) in
+                  u.(j) <- coerce (List.nth fuzz_schema j) (Eval.eval ctx env e))
+                sets;
+              u
+            end)
+          rows
+      in
+      (out, !count))
+
+let ref_delete rows ~where =
+  reference rows (fun ctx ->
+      let kept =
+        List.filter
+          (fun row ->
+            not (Eval.truthy (Eval.eval ctx (Eval.env fuzz_schema row) where)))
+          rows
+      in
+      (kept, List.length rows - List.length kept))
+
+(* SELECT key, COUNT of all rows, then COUNT, MIN, MAX and SUM of e, FROM
+   t GROUP BY key: groups in order of first appearance, aggregates in
+   projection order, each over its group's rows in order *)
+let agg_query key e =
+  let open Ast in
+  let agg fn arg = Proj_expr (Agg { fn; distinct = false; arg }, None) in
+  select
+    ~projections:
+      [ Proj_expr (key, None); agg Count_star None; agg Count (Some e);
+        agg Min (Some e); agg Max (Some e); agg Sum (Some e) ]
+    ~from:[ { table = "t"; alias = None } ]
+    ~group_by:[ key ] ()
+
+let ref_aggregate rows key e =
+  reference rows (fun ctx ->
+      let ev row x = Eval.eval ctx (Eval.env fuzz_schema row) x in
+      let groups = ref [] in
+      List.iter
+        (fun row ->
+          let k = Value.to_literal (ev row key) in
+          match List.assoc_opt k !groups with
+          | Some g -> g := row :: !g
+          | None -> groups := (k, ref [ row ]) :: !groups)
+        rows;
+      List.map
+        (fun (_, g) ->
+          let g = List.rev !g in
+          let vs () =
+            List.filter (fun v -> not (Value.is_null v)) (List.map (fun r -> ev r e) g)
+          in
+          let fold pick =
+            match vs () with
+            | [] -> Value.Null
+            | v0 :: rest ->
+                List.fold_left (fun a v -> if pick (Value.compare v a) then v else a) v0 rest
+          in
+          let sum () =
+            let vs = vs () in
+            if vs = [] then Value.Null
+            else if List.for_all (fun v -> Value.as_int v <> None) vs then
+              i (List.fold_left (fun a v -> a + Option.get (Value.as_int v)) 0 vs)
+            else
+              f
+                (List.fold_left
+                   (fun a v ->
+                     match Value.as_float v with
+                     | Some x -> a +. x
+                     | None -> raise (Eval.Type_error "SUM of non-numeric value"))
+                   0. vs)
+          in
+          let key_v = ev (List.hd g) key in
+          let count = i (List.length g) in
+          let count_e = i (List.length (vs ())) in
+          let mn = fold (fun c -> c < 0) in
+          let mx = fold (fun c -> c > 0) in
+          let sm = sum () in
+          [| key_v; count; count_e; mn; mx; sm |])
+        (List.rev !groups)
+      |> fun out -> (out, 0))
+
+let literal_rows = List.map (fun r -> Array.to_list (Array.map Value.to_literal r))
+
+let same_outcome what got want =
+  let show = function
+    | Ok (rows, k) ->
+        Printf.sprintf "%d affected, rows [%s]" k
+          (String.concat "; " (List.map (String.concat ",") (literal_rows rows)))
+    | Error m -> "error: " ^ m
+  in
+  let norm = function
+    | Ok (rows, k) -> Ok (literal_rows rows, k)
+    | Error m -> Error m
+  in
+  if norm got <> norm want then
+    Alcotest.failf "%s: got %s, want %s" what (show got) (show want)
+
+(* a subquery wrapper for [e]: correlated (outer [n]) or not *)
+let with_subquery rng e =
+  let open Ast in
+  let side ?where projections =
+    select ?where ~projections ~from:[ { table = "s"; alias = None } ] ()
+  in
+  match Random.State.int rng 3 with
+  | 0 ->
+      Binop
+        ( Or,
+          e,
+          In_subquery
+            {
+              arg = col "n";
+              query = side [ Proj_expr (col "k", None) ];
+              negated = Random.State.bool rng;
+            } )
+  | 1 ->
+      Binop
+        ( And,
+          Exists (side ~where:(Binop (Eq, col "k", col "n")) [ Star ]),
+          e )
+  | _ ->
+      Binop
+        ( Add,
+          Scalar_subquery
+            (side
+               [ Proj_expr (Agg { fn = Max; distinct = false; arg = Some (col "v") }, None) ]),
+          e )
+
+let test_fuzz_dml () =
+  let rng = Random.State.make [| 9931 |] in
+  let outcomes = Hashtbl.create 4 in
+  let tally r =
+    Hashtbl.replace outcomes
+      (match r with Ok (_, 0) -> "none" | Ok _ -> "some" | Error _ -> "error")
+      ()
+  in
+  for iter = 1 to 1500 do
+    let rows = List.init (Random.State.int rng 7) (fun _ -> gen_row rng) in
+    let maybe_sub e = if Random.State.int rng 4 = 0 then with_subquery rng e else e in
+    let pred = maybe_sub (gen_expr rng 3) in
+    match iter mod 3 with
+    | 0 ->
+        let sets =
+          List.init
+            (1 + Random.State.int rng 2)
+            (fun _ -> (col_name (Random.State.int rng 5), maybe_sub (gen_expr rng 2)))
+        in
+        let where = if Random.State.int rng 8 = 0 then None else Some pred in
+        let want = ref_update rows ~sets ~where in
+        let got = run_stmt rows (Ast.Update { table = "t"; assignments = sets; where }) in
+        tally want;
+        same_outcome "UPDATE" got want
+    | 1 ->
+        let want = ref_delete rows ~where:pred in
+        let got = run_stmt rows (Ast.Delete { table = "t"; where = Some pred }) in
+        tally want;
+        same_outcome "DELETE" got want
+    | _ ->
+        let key = gen_expr rng 1 and e = maybe_sub (gen_expr rng 2) in
+        let want = ref_aggregate rows key e in
+        let got = run_stmt rows (Ast.Select (agg_query key e)) in
+        same_outcome "GROUP BY" got want
+  done;
+  List.iter
+    (fun o -> Alcotest.(check bool) ("fuzz reached outcome " ^ o) true (Hashtbl.mem outcomes o))
+    [ "none"; "some"; "error" ]
+
+(* the shapes the fuzz reaches only by chance, pinned *)
+let test_dml_edge_cases () =
+  let rows =
+    [
+      [| i 1; f 0.5; s "alpha"; Value.Bool true; i 7 |];
+      [| i 2; f 1.5; s "beta"; Value.Bool false; i 8 |];
+      [| i 3; Value.Null; s ""; Value.Null; i 9 |];
+    ]
+  in
+  let parse sql =
+    match Sqlfront.Parser.parse_stmt sql with
+    | st -> st
+    | exception Sqlfront.Parser.Error (m, _, _) -> Alcotest.fail m
+  in
+  let check sql ?(rows = rows) expected =
+    let got = run_stmt rows (parse sql) in
+    (match got, expected with
+    | Ok (_, k), `Affected n -> Alcotest.(check int) sql n k
+    | Error m, `Error want -> Alcotest.(check string) sql want m
+    | Ok (_, k), `Error want -> Alcotest.failf "%s: %d affected, want %s" sql k want
+    | Error m, `Affected _ -> Alcotest.failf "%s: %s" sql m);
+    got
+  in
+  (* a swap reads both columns from the pre-update row *)
+  (match check "UPDATE t SET n = m, m = n WHERE n < 3" (`Affected 2) with
+  | Ok (r1 :: r2 :: r3 :: _, _) ->
+      Alcotest.(check (list string)) "swapped" [ "7"; "1"; "8"; "2"; "3"; "9" ]
+        (List.map Value.to_literal [ r1.(0); r1.(4); r2.(0); r2.(4); r3.(0); r3.(4) ])
+  | _ -> Alcotest.fail "swap result");
+  (* a type error only the matching row reaches *)
+  ignore (check "UPDATE t SET x = x + 1 WHERE t = 'beta' AND n > 0" (`Affected 1));
+  ignore
+    (check "UPDATE t SET x = t + 1 WHERE n = 2"
+       (`Error "type error: arithmetic on non-numeric values beta, 1"));
+  ignore (check "UPDATE t SET x = t + 1 WHERE n = 99" (`Affected 0));
+  ignore
+    (check "DELETE FROM t WHERE t > 1"
+       (`Error "type error: cannot compare alpha with 1"));
+  (* an unknown column raises on the first row, and not on an empty table *)
+  ignore (check "UPDATE t SET n = zz WHERE n > 0" (`Error "unknown column: zz"));
+  ignore (check "DELETE FROM t WHERE zz = 1" (`Error "unknown column: zz"));
+  ignore (check ~rows:[] "UPDATE t SET n = zz WHERE zz = 1" (`Affected 0));
+  ignore (check ~rows:[] "DELETE FROM t WHERE zz = 1" (`Affected 0));
+  (match run_stmt [] (parse "SELECT zz, SUM(yy) FROM t GROUP BY zz") with
+  | Ok ([], _) -> ()
+  | _ -> Alcotest.fail "GROUP BY an unknown column of an empty table");
+  (* the seat reservation: a subquery in WHERE sees the pre-update rows *)
+  ignore
+    (check "UPDATE t SET m = 0 WHERE n = (SELECT MIN(n) FROM t WHERE m > 0)"
+       (`Affected 1));
+  ignore
+    (check "DELETE FROM t WHERE EXISTS (SELECT k FROM s WHERE k = n)"
+       (`Affected 2))
+
 (* The list scan SQL IN used to be, kept here as the reference the
    prepared-set membership of both tiers must reproduce: TRUE on the first
    equal member; a Type_error from the first incomparable member met
@@ -660,6 +955,9 @@ let () =
             test_fuzz_compile_batch;
           Alcotest.test_case "long IN lists vs list scan" `Quick
             test_fuzz_long_in_lists;
+          Alcotest.test_case "DML and GROUP BY vs interpreter" `Quick
+            test_fuzz_dml;
+          Alcotest.test_case "DML edge cases" `Quick test_dml_edge_cases;
         ] );
       ( "streaming",
         [

@@ -100,6 +100,65 @@ let test_lookup_eq_directly () =
   Alcotest.(check int) "null never matches" 0
     (List.length (Ldbms.Table.lookup_eq tbl ~col:1 Value.Null))
 
+(* An index is physical only: every query answers as it does without
+   one. The lookup keys by SQL equality, so an integral float meets the
+   int it equals and -0.0 meets 0; a literal of another class than the
+   column's still raises, as the scan does. *)
+let test_index_keys_follow_sql_equality () =
+  let session ~indexed =
+    let db = Ldbms.Database.create "shop" in
+    Ldbms.Database.load db ~name:"t"
+      [ Schema.column "id" Ty.Int; Schema.column "price" Ty.Float ]
+      [
+        [| Value.Int 1; Value.Float 3.0 |];
+        [| Value.Int 2; Value.Float (-0.0) |];
+        [| Value.Int 3; Value.Float 2.5 |];
+        [| Value.Int 4; Value.Float Float.nan |];
+      ];
+    Ldbms.Database.load db ~name:"u"
+      [ Schema.column "n" Ty.Int; Schema.column "tag" Ty.Str ]
+      [
+        [| Value.Int 3; Value.Str "three" |];
+        [| Value.Int 0; Value.Str "zero" |];
+        [| Value.Int 7; Value.Str "seven" |];
+      ];
+    let s = Session.connect db Caps.ingres_like in
+    if indexed then begin
+      List.iter
+        (fun sql ->
+          match q s sql with Ok _ -> () | Error m -> Alcotest.fail m)
+        [ "CREATE INDEX ip ON t (price)"; "CREATE INDEX iid ON t (id)" ];
+      match Session.commit s with Ok () -> () | Error m -> Alcotest.fail m
+    end;
+    s
+  in
+  let plain = session ~indexed:false and idx = session ~indexed:true in
+  let answer s sql =
+    match q s sql with
+    | Ok (Session.Rows r) -> Ok (Relation.rows r)
+    | Ok _ -> Alcotest.fail "expected rows"
+    | Error m -> Error m
+  in
+  List.iter
+    (fun (sql, expected) ->
+      let want = answer plain sql and got = answer idx sql in
+      (match want with
+      | Ok rows -> Alcotest.(check int) ("unindexed: " ^ sql) expected (List.length rows)
+      | Error _ -> Alcotest.(check int) ("unindexed raises: " ^ sql) (-1) expected);
+      if want <> got then Alcotest.failf "index changes the answer to %s" sql)
+    [
+      ("SELECT id FROM t WHERE price = 3", 1);
+      ("SELECT id FROM t WHERE price = 0.0", 1);
+      ("SELECT id FROM t WHERE price = 0", 1);
+      ("SELECT id FROM t WHERE price = -0.0", 1);
+      ("SELECT id FROM t WHERE 2.5 = price", 1);
+      ("SELECT id FROM t WHERE id = 2.0", 1);
+      ("SELECT id FROM t WHERE id = 2.5", 0);
+      ("SELECT id FROM t WHERE price = 'x'", -1);
+      ("SELECT id FROM t WHERE id = TRUE", -1);
+      ("SELECT tag FROM u, t WHERE t.price = u.n ORDER BY tag", 2);
+    ]
+
 let prop_indexed_equals_scan =
   let gen = QCheck.Gen.(pair (int_bound 20) (int_bound 6)) in
   QCheck.Test.make ~name:"indexed select equals scan" ~count:100
@@ -124,6 +183,8 @@ let () =
           Alcotest.test_case "null" `Quick test_index_does_not_match_null;
           Alcotest.test_case "rollback" `Quick test_create_index_rollback;
           Alcotest.test_case "lookup_eq" `Quick test_lookup_eq_directly;
+          Alcotest.test_case "keys follow SQL equality" `Quick
+            test_index_keys_follow_sql_equality;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_indexed_equals_scan ] );

@@ -207,6 +207,47 @@ let test_update_uses_pre_state () =
   Alcotest.check value "car 3 untouched" (Value.Str "available")
     (scalar s "SELECT carst FROM cars WHERE code = 3")
 
+(* UPDATE and DELETE compile their WHERE and SET expressions once per
+   statement, so a row pays no column-name lookups. Measured like
+   [test_in_list_allocation]: minor words are exact in one domain, and the
+   slope between a 4,000-row and an 8,000-row table cancels the
+   per-statement cost. One row in six is a Dallas flight. *)
+let test_dml_allocation () =
+  let n = 4000 in
+  let db = Ldbms.Database.create "fleet" in
+  let schema =
+    [ Schema.column "id" Ty.Int; Schema.column "src" Ty.Str;
+      Schema.column "dst" Ty.Str; Schema.column "rate" Ty.Float ]
+  in
+  let cities = [| "Dallas"; "Houston"; "Denver"; "Boston"; "Tulsa"; "Austin" |] in
+  let rows k =
+    List.init k (fun id ->
+        [| Value.Int id; Value.Str cities.(id mod 6);
+           Value.Str cities.((id + 1) mod 6); Value.Float 100.0 |])
+  in
+  Ldbms.Database.load db ~name:"t" schema (rows n);
+  Ldbms.Database.load db ~name:"u" schema (rows (2 * n));
+  let s = Session.connect db Caps.ingres_like in
+  let words table fmt expected =
+    let sql = Printf.sprintf fmt table in
+    Alcotest.(check int) sql expected (affected (q s sql));
+    let before = Gc.minor_words () in
+    ignore (q s sql);
+    Gc.minor_words () -. before
+  in
+  let per_row fmt ~rows_t ~rows_u =
+    (words "u" fmt rows_u -. words "t" fmt rows_t) /. float_of_int n
+  in
+  let update =
+    per_row "UPDATE %s SET rate = rate + 1 WHERE src = 'Dallas' AND id >= 0"
+      ~rows_t:(n / 6 + 1) ~rows_u:(2 * n / 6 + 1)
+  in
+  let delete = per_row "DELETE FROM %s WHERE src = 'Nowhere'" ~rows_t:0 ~rows_u:0 in
+  if update > 40. then
+    Alcotest.failf "UPDATE allocates %.1f words/row (bound 40)" update;
+  if delete > 15. then
+    Alcotest.failf "DELETE allocates %.1f words/row (bound 15)" delete
+
 let test_create_drop () =
   let s = connect () in
   (match q s "CREATE TABLE extras (id INT, note CHAR(40))" with
@@ -431,6 +472,7 @@ let () =
           Alcotest.test_case "insert types" `Quick test_insert_type_checking;
           Alcotest.test_case "update/delete" `Quick test_update_delete;
           Alcotest.test_case "update pre-state" `Quick test_update_uses_pre_state;
+          Alcotest.test_case "dml allocation" `Quick test_dml_allocation;
           Alcotest.test_case "create/drop" `Quick test_create_drop;
           Alcotest.test_case "constraints" `Quick test_constraints;
           Alcotest.test_case "constraint ddl" `Quick test_constraint_roundtrip_in_ddl;

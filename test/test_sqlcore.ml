@@ -124,6 +124,25 @@ let test_names () =
   Alcotest.(check (option int)) "assoc ci" (Some 2)
     (Names.assoc_opt "Foo" [ ("bar", 1); ("FOO", 2) ])
 
+(* the byte-wise comparisons agree with comparing lowercase copies, on
+   every pair of short strings over a mixed-case, non-ASCII alphabet *)
+let test_names_agree_with_canon () =
+  let alphabet = [| "a"; "A"; "z"; "Z"; "_"; "@"; "["; "\xc3"; "\xe9" |] in
+  let rng = Random.State.make [| 7 |] in
+  let word () =
+    String.concat ""
+      (List.init (Random.State.int rng 4) (fun _ ->
+           alphabet.(Random.State.int rng (Array.length alphabet))))
+  in
+  for _ = 1 to 5000 do
+    let a = word () and b = word () in
+    let ca = Names.canon a and cb = Names.canon b in
+    Alcotest.(check bool) ("equal " ^ a ^ " " ^ b) (String.equal ca cb)
+      (Names.equal a b);
+    Alcotest.(check int) ("compare " ^ a ^ " " ^ b) (String.compare ca cb)
+      (Names.compare a b)
+  done
+
 (* ---- Like -------------------------------------------------------------- *)
 
 let test_sql_like () =
@@ -319,7 +338,12 @@ let () =
           Alcotest.test_case "size" `Quick test_value_size;
         ] );
       ("ty", [ Alcotest.test_case "of_string" `Quick test_ty_of_string ]);
-      ("names", [ Alcotest.test_case "case-insensitive" `Quick test_names ]);
+      ( "names",
+        [
+          Alcotest.test_case "case-insensitive" `Quick test_names;
+          Alcotest.test_case "agree with lowercase copies" `Quick
+            test_names_agree_with_canon;
+        ] );
       ( "like",
         [
           Alcotest.test_case "sql like" `Quick test_sql_like;

@@ -35,7 +35,7 @@ let main socket_path max_sessions max_queue domains pool_cap verbose =
       base with
       S.max_sessions;
       max_queue;
-      domains = (if domains >= 0 then max 1 domains else base.S.domains);
+      domains = max 1 domains;
       pool_cap = (if pool_cap > 0 then Some pool_cap else None);
     }
   in
@@ -147,9 +147,9 @@ let max_queue =
 let domains =
   let doc =
     "Run service-disjoint statements of a wave on $(docv) OCaml domains \
-     (negative: use MSQL_TEST_DOMAINS; 0 or 1: serial)."
+     (1, the default, runs them serially)."
   in
-  Arg.(value & opt int (-1) & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let pool_cap =
   let doc =

@@ -68,12 +68,6 @@ type t = {
   mutable moved_bytes : int;
   mutable moves_reduced : int;
   mutable moves_cached : int;
-  mutable par_joins : int;
-      (** intra-operator parallel hash joins executed at the sites *)
-  mutable par_filters : int;  (** chunked parallel WHERE scans *)
-  mutable par_partitions : int;
-      (** total partitions/chunks used by the above (data-dependent, so
-          identical at every pool width) *)
   mutable dataflow_nodes : int;
       (** DAG nodes analyzed by the dataflow scheduler's planning pass *)
   mutable dataflow_edges : int;  (** dependency edges (transitively reduced) *)
@@ -84,9 +78,9 @@ type t = {
   mutable dataflow_waves : int;  (** multi-branch waves executed *)
   mutable dataflow_wave_branches : int;
   mutable dataflow_crit_ms : float;
-      (** summed per-wave critical paths (max branch duration) — virtual,
-          so identical at any domain width; never exceeds
-          [dataflow_serial_ms], the summed branch durations *)
+      (** summed per-wave critical paths (max branch duration) in virtual
+          time; never exceeds [dataflow_serial_ms], the summed branch
+          durations *)
   mutable dataflow_serial_ms : float;
   site_retries : (string, int) Hashtbl.t;  (** site name -> retry count *)
 }

@@ -81,8 +81,6 @@ type t = {
       (* the pool belongs to a server, not this session: never drain it *)
   mutable shared : shared_caches option;
       (* Some = plan/result lookups go to the communal tables *)
-  mutable domains : int;
-      (* > 1 -> eligible PARBEGIN blocks execute on that many domains *)
   mutable plan_cache_on : bool;
   plan_cache : (string, Plangen.plan) Hashtbl.t;
   mutable plan_hits : int;
@@ -141,12 +139,6 @@ let create ?world ?directory ?ad ?gdd () =
     pool = None;
     pool_shared = false;
     shared = None;
-    domains =
-      (* the CI matrix exercises domain execution across the whole suite
-         by exporting MSQL_TEST_DOMAINS=n *)
-      (match Sys.getenv_opt "MSQL_TEST_DOMAINS" with
-      | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 1)
-      | None -> 1);
     plan_cache_on = false;
     plan_cache = Hashtbl.create 32;
     plan_hits = 0;
@@ -225,15 +217,6 @@ let set_shared_pool t p =
   t.pool_shared <- true;
   t.pool <- Some p
 
-let set_domains t n = t.domains <- max 1 n
-let domains t = t.domains
-
-(* intra-operator parallelism at the sites is executor-global (like the
-   join-planner toggle): one knob for every session in the process *)
-let set_parallel_exec ?enabled ?min_rows ?max_partitions ?width () =
-  Ldbms.Exec.set_parallel_exec ?enabled ?min_rows ?max_partitions ?width ()
-
-let parallel_exec_enabled () = Ldbms.Exec.parallel_exec_enabled ()
 let set_plan_cache t b =
   if not b then Hashtbl.reset t.plan_cache;
   t.plan_cache_on <- b
@@ -358,12 +341,8 @@ let engine_start t program =
      plan caches *)
   Ldbms.Exec.set_dict_epoch ~ident:(Gdd.id t.gdd) (dict_epoch t);
   t.metrics.Metrics.engine_runs <- t.metrics.Metrics.engine_runs + 1;
-  let dpool =
-    if t.domains > 1 then Some (Narada.Dpool.shared ~domains:t.domains)
-    else None
-  in
   Engine.start ?on_event:t.trace ~on_trace:(observe t) ?retry:t.retry
-    ?pool:t.pool ?dpool ?move_cache:(move_cache t) ~directory:t.directory
+    ?pool:t.pool ?move_cache:(move_cache t) ~directory:t.directory
     ~world:t.world program
 
 let note_outcome t = function

@@ -257,34 +257,6 @@ val set_shared_caches : t -> shared_caches -> unit
     layers. Per-session hit/miss counters keep counting locally, so
     {!cache_stats} still reports each session's own traffic. *)
 
-val set_domains : t -> int -> unit
-(** Execute eligible PARBEGIN blocks of engine programs on [n] OCaml
-    domains (a process-wide {!Narada.Dpool} of that width, shared across
-    sessions). Clamped to at least 1; [1] (the default) keeps everything
-    on the calling domain. Results, typed traces and virtual-time
-    accounting are identical at any width — only wall-clock time changes
-    (see {!Narada.Engine.run}). The initial value is read from the
-    [MSQL_TEST_DOMAINS] environment variable, which lets a CI matrix run
-    the whole suite under domain execution. *)
-
-val domains : t -> int
-
-val set_parallel_exec :
-  ?enabled:bool ->
-  ?min_rows:int ->
-  ?max_partitions:int ->
-  ?width:int ->
-  unit ->
-  unit
-(** Configure intra-operator parallelism at the LDBMS sites (partitioned
-    parallel hash joins and chunked WHERE scans) — a process-wide
-    executor knob, forwarded to {!Ldbms.Exec.set_parallel_exec}. Results,
-    traces and metrics are identical at any setting; parallel executions
-    surface as {!Narada.Trace.Parallel} events and in the metrics JSON's
-    [engine.parallel] object. *)
-
-val parallel_exec_enabled : unit -> bool
-
 val set_plan_cache : t -> bool -> unit
 (** Memoize plan generation, keyed on the effective-scope statement, the
     planner flags and the {!Gdd.version}/{!Ad.version} epochs — any

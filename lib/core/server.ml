@@ -33,21 +33,13 @@ type config = {
   domains : int;
 }
 
-let env_domains () =
-  match Sys.getenv_opt "MSQL_TEST_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 1 -> n
-      | _ -> 1)
-  | None -> 1
-
 let default_config () =
   {
     max_sessions = 64;
     max_queue = 16;
     max_requeues = 8;
     pool_cap = None;
-    domains = env_domains ();
+    domains = 1;
   }
 
 type error = Overloaded of string | Unknown_session of int
@@ -191,10 +183,6 @@ let connect t =
     Msession.set_shared_caches s t.caches;
     Msession.set_shared_pool s t.pool;
     Msession.set_trace_tag s (Some (Printf.sprintf "s%d" sid));
-    (* member statements may themselves be scheduled onto the shared
-       Taskpool (domains > 1); a job must never submit to its own pool,
-       so member engines keep PARBEGIN on their calling domain *)
-    Msession.set_domains s 1;
     let e =
       { e_sid = sid; e_session = s; e_queue = Queue.create ();
         e_next_seq = 0; e_busy = false }

@@ -44,8 +44,7 @@ type config = {
 }
 
 val default_config : unit -> config
-(** 64 sessions, queue depth 16, 8 requeues, no cap; [domains] from the
-    [MSQL_TEST_DOMAINS] environment variable (default 1). *)
+(** 64 sessions, queue depth 16, 8 requeues, no cap, [domains = 1]. *)
 
 (** Typed overload/addressing errors — the admission-control surface. *)
 type error =

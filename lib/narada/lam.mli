@@ -177,13 +177,7 @@ val transfer :
     [col IN (distinct probe values)] (a contradiction when the key set is
     empty) before being shipped to [src]. The probe's round trip is
     charged to the network, so the reduction pays for its keys. If the
-    probe fails the transfer proceeds unreduced.
-
-    Domain safety: concurrent transfers from {e distinct} sources into the
-    same [dst] (the engine's domain-parallel MOVE blocks) are safe — the
-    destination-side work (probe, materialize) is serialized under a
-    per-connection mutex, while each branch's network charges go to its
-    own clock frame. *)
+    probe fails the transfer proceeds unreduced. *)
 
 val disconnect : t -> unit
 (** Close the session. An orphaned {e active} transaction is aborted by

@@ -238,11 +238,6 @@ let lose_next t ~src ~dst =
   let n = Option.value ~default:0 (Hashtbl.find_opt t.lose_next k) in
   Hashtbl.replace t.lose_next k (n + 1)
 
-let has_loss t =
-  t.default_loss <> None
-  || Hashtbl.length t.link_loss > 0
-  || Hashtbl.length t.lose_next > 0
-
 let clear_faults t =
   Hashtbl.iter (fun name _ -> remember_past_windows t name)
     (Hashtbl.copy t.outages);

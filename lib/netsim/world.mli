@@ -128,11 +128,6 @@ val lose_next : t -> src:string -> dst:string -> unit
     Multiple calls stack. Takes precedence over probabilistic loss and
     consumes no PRNG draw, so deterministic tests stay deterministic. *)
 
-val has_loss : t -> bool
-(** Whether any message-loss source is configured (default or per-link
-    probability, or a queued one-shot loss). Loss draws consume shared
-    PRNG state whose order is interleaving-dependent, so the engine falls
-    back to sequential branch execution while this holds. *)
 
 val clear_faults : t -> unit
 (** Remove all outages, loss sources and queued losses. *)
@@ -161,8 +156,7 @@ val parallel : t -> (unit -> 'a) list -> 'a list
 (** Run the thunks as logically concurrent branches: each runs in its own
     clock frame starting at the current virtual time; afterwards the
     clock is the maximum finish time. Results are returned in order. The
-    thunks execute serially on the calling domain — real domain-parallel
-    execution is built on {!in_frame} directly by the DOL engine. *)
+    thunks execute serially on the calling domain. *)
 
 val parallel_timed : t -> (unit -> 'a) list -> 'a list * float list
 (** {!parallel}, additionally returning each branch's virtual duration

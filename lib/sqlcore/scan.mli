@@ -14,6 +14,10 @@ val peek : t -> char option
 val peek2 : t -> char option
 (** Character after the next one, if any. *)
 
+val peek_at : t -> int -> char option
+(** The character [k] places past the next one: [peek_at t 0] is
+    [peek t], [peek_at t 1] is [peek2 t]. *)
+
 val advance : t -> unit
 val next : t -> char
 (** Consume and return the next character; raises {!Error} at end of

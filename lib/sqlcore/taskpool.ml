@@ -3,60 +3,37 @@
    no domainslib): workers block on a condition variable when idle, so a
    parked pool costs nothing but the OS threads.
 
-   This lives at the bottom of the stack (sqlcore) so both the relational
-   operators (partitioned parallel hash join, chunked WHERE evaluation)
-   and the multidatabase engine (Narada's PARBEGIN branches, which
-   re-export it as [Narada.Dpool]) can draw workers from the same
-   mechanism without a layering inversion.
-
    The submitting domain is itself one of the execution lanes: [run_all]
    enqueues the jobs, then drains the queue alongside the workers and
-   finally blocks until its own batch is complete. A pool created with
-   [~domains:n] therefore spawns only [n - 1] workers, and [~domains:1]
-   degenerates to plain sequential execution with no spawned domain at
-   all. Jobs must be self-contained — in particular they must not submit
-   to the same pool (the engine's eligibility gate guarantees this by
-   refusing nested parallel blocks, and the relational operators run
-   their parallel pieces on a pool of their own). *)
+   finally blocks until its own batch is complete. A pool of width [n]
+   therefore spawns only [n - 1] workers, and width 1 degenerates to
+   plain sequential execution with no spawned domain at all. Jobs must be
+   self-contained — in particular they must not submit to the same
+   pool. *)
 
 type t = {
   m : Mutex.t;
   nonempty : Condition.t;
   queue : (unit -> unit) Queue.t;
-  mutable closing : bool;
-  mutable workers : unit Domain.t list;
-  total : int;
 }
-
-let size t = t.total
 
 let rec worker_loop t =
   Mutex.lock t.m;
-  while Queue.is_empty t.queue && not t.closing do
+  while Queue.is_empty t.queue do
     Condition.wait t.nonempty t.m
   done;
-  if Queue.is_empty t.queue then Mutex.unlock t.m (* closing *)
-  else begin
-    let job = Queue.pop t.queue in
-    Mutex.unlock t.m;
-    job ();
-    worker_loop t
-  end
+  let job = Queue.pop t.queue in
+  Mutex.unlock t.m;
+  job ();
+  worker_loop t
 
 let create ~domains =
-  let total = max 1 domains in
   let t =
-    {
-      m = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
-      closing = false;
-      workers = [];
-      total;
-    }
+    { m = Mutex.create (); nonempty = Condition.create (); queue = Queue.create () }
   in
-  t.workers <-
-    List.init (total - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  for _ = 2 to domains do
+    ignore (Domain.spawn (fun () -> worker_loop t))
+  done;
   t
 
 let run_all t jobs =
@@ -70,9 +47,9 @@ let run_all t jobs =
       let done_cv = Condition.create () in
       let pending = ref (List.length jobs) in
       let wrap job () =
-        (* jobs are expected to capture their own exceptions (the engine
-           records them per branch); a leak here must not strand the
-           batch, so completion is signalled unconditionally *)
+        (* jobs are expected to capture their own exceptions; a leak here
+           must not strand the batch, so completion is signalled
+           unconditionally *)
         (try job () with _ -> ());
         Mutex.lock done_m;
         decr pending;
@@ -103,18 +80,10 @@ let run_all t jobs =
       done;
       Mutex.unlock done_m
 
-let shutdown t =
-  Mutex.lock t.m;
-  t.closing <- true;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.m;
-  List.iter Domain.join t.workers;
-  t.workers <- []
-
-(* Process-wide shared pools, one per size. Sessions toggle domain
-   execution per statement, and tests create many short-lived sessions; a
-   pool per session would accumulate OS threads, so everyone asking for
-   the same width shares one pool for the life of the process. *)
+(* Process-wide shared pools, one per width, never shut down: tests create
+   many short-lived servers, and a pool per server would accumulate OS
+   threads, so everyone asking for the same width shares one pool for the
+   life of the process. *)
 let shared_m = Mutex.create ()
 let shared_pools : (int, t) Hashtbl.t = Hashtbl.create 4
 

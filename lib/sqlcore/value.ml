@@ -101,9 +101,31 @@ let quote s =
   Buffer.add_char buf '\'';
   Buffer.contents buf
 
+(* A float literal must read back as the same float: the shortest of
+   %.15g/%.16g/%.17g that round-trips (%.17g always does). Where %g was
+   already exact the text is unchanged, since %.15g then prints the same
+   digits. A literal never reads back as an Int: one printed without '.'
+   or exponent gets ".0". *)
+let float_literal f =
+  if (Float.is_integer f && Float.abs f < 1e15) || not (Float.is_finite f) then
+    float_to_string f
+  else
+    let exact p =
+      let s = Printf.sprintf "%.*g" p f in
+      if float_of_string s = f then Some s else None
+    in
+    let s =
+      match exact 15 with
+      | Some s -> s
+      | None -> (
+          match exact 16 with Some s -> s | None -> Printf.sprintf "%.17g" f)
+    in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
 let to_literal = function
   | Str s -> quote s
-  | (Null | Int _ | Float _ | Bool _) as v -> to_string v
+  | Float f -> float_literal f
+  | (Null | Int _ | Bool _) as v -> to_string v
 
 let of_literal_exn s =
   let n = String.length s in

@@ -41,7 +41,10 @@ val to_string : t -> string
 (** Display form: [NULL], bare numbers, unquoted strings. *)
 
 val to_literal : t -> string
-(** SQL literal form: strings quoted with ['] and embedded quotes doubled. *)
+(** SQL literal form: strings quoted with ['] and embedded quotes doubled;
+    a finite float in the shortest of [%.15g]/[%.16g]/[%.17g] that reads
+    back as the same float, with [.0] appended if that text would read
+    as an integer. *)
 
 val of_literal_exn : string -> t
 (** Inverse of {!to_literal} for the simple literal forms; raises

@@ -3,13 +3,30 @@ module Scan = Sqlcore.Scan
 exception Error of string * int * int
 
 let number sc =
+  let digit_at k =
+    match Scan.peek_at sc k with Some c -> Scan.is_digit c | None -> false
+  in
   let intpart = Scan.take_while sc Scan.is_digit in
-  match Scan.peek sc, Scan.peek2 sc with
-  | Some '.', Some c when Scan.is_digit c ->
+  let frac =
+    if Scan.peek sc = Some '.' && digit_at 1 then begin
       Scan.advance sc;
-      let frac = Scan.take_while sc Scan.is_digit in
-      Token.Float (float_of_string (intpart ^ "." ^ frac))
-  | _ -> Token.Int (int_of_string intpart)
+      "." ^ Scan.take_while sc Scan.is_digit
+    end
+    else ""
+  in
+  let exponent =
+    match Scan.peek sc, Scan.peek2 sc with
+    | Some ('e' | 'E'), Some c when Scan.is_digit c ->
+        Scan.advance sc;
+        "e" ^ Scan.take_while sc Scan.is_digit
+    | Some ('e' | 'E'), Some (('+' | '-') as sign) when digit_at 2 ->
+        Scan.advance sc;
+        Scan.advance sc;
+        "e" ^ String.make 1 sign ^ Scan.take_while sc Scan.is_digit
+    | _ -> ""
+  in
+  if frac = "" && exponent = "" then Token.Int (int_of_string intpart)
+  else Token.Float (float_of_string (intpart ^ frac ^ exponent))
 
 let rec symbol sc =
   let two a b = Scan.peek sc = Some a && Scan.peek2 sc = Some b in

@@ -1,7 +1,7 @@
-(* The columnar data plane: batch layout and kernels against their
-   row-at-a-time references, randomized differential fuzz of the compiled
-   predicate tiers against the interpreted Eval walker, and chunk-size
-   invariance of the streamed MOVE path (results, traffic, metrics). *)
+(* Randomized differential fuzz of the compiled row evaluator
+   ([Compile.compile_row], IN sets, compiled DML and aggregate inputs)
+   against the interpreted Eval walker, and chunk-size invariance of the
+   streamed MOVE path (results, traffic, metrics). *)
 open Sqlcore
 module M = Msql.Msession
 module Trace = Narada.Trace
@@ -14,162 +14,10 @@ let s x = Value.Str x
 let i x = Value.Int x
 let f x = Value.Float x
 
-(* a schema exercising every column class, including values the batch
-   layer must keep exact: ints above 2^53 and a column mixing Int with
-   Float (which must stay Boxed) *)
-let wide_schema =
-  [
-    col "id" Ty.Int;
-    col "price" Ty.Float;
-    col ~width:12 "origin" Ty.Str;
-    col "ok" Ty.Bool;
-    col "mixed" Ty.Int;
-    col "ghost" Ty.Str;
-  ]
-
+(* an int above 2^53: compiled and interpreted paths must keep it exact *)
 let big = (1 lsl 53) + 1
 
-let wide_rows =
-  [
-    [| i 1; f 10.5; s "domestic"; Value.Bool true; i big; Value.Null |];
-    [| i 2; Value.Null; s "imported"; Value.Bool false; f 2.5; Value.Null |];
-    [| i big; f 0.0; Value.Null; Value.Null; i 3; Value.Null |];
-    [| i (-4); f (-1.25); s ""; Value.Bool true; f (float_of_int big); Value.Null |];
-  ]
-
-let wide () = Batch.of_rows wide_schema wide_rows
-
-(* ---- layout ----------------------------------------------------------- *)
-
-let test_roundtrip () =
-  let b = wide () in
-  Alcotest.(check int) "length" 4 (Batch.length b);
-  Alcotest.(check bool) "to_rows round-trips exactly" true
-    (Batch.to_rows b = wide_rows);
-  (* empty batches round-trip too, typed from the schema *)
-  let e = Batch.of_rows wide_schema [] in
-  Alcotest.(check int) "empty length" 0 (Batch.length e);
-  Alcotest.(check bool) "empty to_rows" true (Batch.to_rows e = [])
-
-let test_column_classes () =
-  let b = wide () in
-  let class_of j =
-    match b.Batch.cols.(j).Batch.data with
-    | Batch.Ints _ -> "ints"
-    | Batch.Floats _ -> "floats"
-    | Batch.Strs _ -> "strs"
-    | Batch.Bools _ -> "bools"
-    | Batch.Boxed _ -> "boxed"
-  in
-  Alcotest.(check string) "all-int column" "ints" (class_of 0);
-  Alcotest.(check string) "float column with nulls" "floats" (class_of 1);
-  Alcotest.(check string) "string column with nulls" "strs" (class_of 2);
-  Alcotest.(check string) "bool column with nulls" "bools" (class_of 3);
-  Alcotest.(check string) "Int/Float mix stays boxed" "boxed" (class_of 4);
-  (* the all-NULL column is typed from the declared schema *)
-  Alcotest.(check string) "all-NULL column typed from schema" "strs"
-    (class_of 5);
-  Alcotest.(check bool) "its null bitmap is full" true
-    (List.for_all (fun k -> Batch.is_null b k 5) [ 0; 1; 2; 3 ]);
-  (* 2^53 + 1 survives: reading it back is the exact int, not a double *)
-  Alcotest.(check bool) "big int exact" true (Batch.get b 2 0 = i big)
-
-let test_size_bytes_parity () =
-  let check_rel schema rows name =
-    let b = Batch.of_rows schema rows in
-    let row_sum = List.fold_left (fun acc r -> acc + Row.size_bytes r) 0 rows in
-    Alcotest.(check int) name row_sum (Batch.size_bytes b)
-  in
-  check_rel wide_schema wide_rows "wide batch";
-  check_rel wide_schema [] "empty batch";
-  check_rel
-    [ col "a" Ty.Str ]
-    [ [| s "xyz" |]; [| Value.Null |]; [| s "" |] ]
-    "strings and nulls"
-
-let test_project_zero_copy () =
-  let b = wide () in
-  let sub_schema = [ List.nth wide_schema 2; List.nth wide_schema 0 ] in
-  let p = Batch.project b [ 2; 0 ] sub_schema in
-  Alcotest.(check int) "projected arity" 2 (Array.length p.Batch.cols);
-  (* physical sharing, not a copy *)
-  Alcotest.(check bool) "column 0 shared" true
-    (p.Batch.cols.(0) == b.Batch.cols.(2));
-  Alcotest.(check bool) "column 1 shared" true
-    (p.Batch.cols.(1) == b.Batch.cols.(0))
-
-let test_mask_filter () =
-  let b = wide () in
-  let m = Batch.mask_create 4 in
-  Batch.mask_set m 0;
-  Batch.mask_set m 3;
-  Alcotest.(check int) "mask count" 2 (Batch.mask_count m 4);
-  let kept = Batch.filter m b in
-  Alcotest.(check bool) "filter keeps rows in order" true
-    (Batch.to_rows kept = [ List.nth wide_rows 0; List.nth wide_rows 3 ])
-
-(* ---- hash join vs the row join ---------------------------------------- *)
-
-let join_case name a_schema a_rows b_schema b_rows keys =
-  let ra = Relation.make a_schema a_rows and rb = Relation.make b_schema b_rows in
-  let row = Relation.hash_join ra rb ~keys in
-  let batch =
-    Relation.of_batch
-      (Batch.hash_join (Relation.to_batch ra) (Relation.to_batch rb) ~keys)
-  in
-  Alcotest.(check bool)
-    (name ^ ": batch join identical to row join (rows and order)")
-    true (Relation.equal batch row)
-
-let test_hash_join_matches_row_join () =
-  (* int keys with duplicates, a NULL key, and values above 2^53 on both
-     sides: the int fast path must not fold them *)
-  join_case "int keys"
-    [ col "a" Ty.Int; col "ak" Ty.Int ]
-    [
-      [| i 0; i 7 |]; [| i 1; i 7 |]; [| i 2; Value.Null |]; [| i 3; i big |];
-      [| i 4; i (big + 2) |]; [| i 5; i (-3) |];
-    ]
-    [ col "b" Ty.Int; col "bk" Ty.Int ]
-    [
-      [| i 10; i 7 |]; [| i 11; i big |]; [| i 12; Value.Null |];
-      [| i 13; i 7 |]; [| i 14; i (-3) |];
-    ]
-    [ (1, 1) ];
-  (* mixed Int/Float keys force the generic path; numeric equality must
-     still hold (5 joins 5.0) and big ints must stay exact *)
-  join_case "mixed numeric keys"
-    [ col "a" Ty.Int; col "ak" Ty.Int ]
-    [ [| i 0; i 5 |]; [| i 1; i big |]; [| i 2; i 9 |] ]
-    [ col "b" Ty.Int; col "bk" Ty.Float ]
-    [
-      [| i 10; f 5.0 |]; [| i 11; f (float_of_int big) |]; [| i 12; f 9.5 |];
-    ]
-    [ (1, 1) ];
-  (* multi-column keys, string + int *)
-  join_case "two-column keys"
-    [ col "a" Ty.Int; col "k1" Ty.Str; col "k2" Ty.Int ]
-    [
-      [| i 0; s "x"; i 1 |]; [| i 1; s "x"; i 2 |]; [| i 2; Value.Null; i 1 |];
-    ]
-    [ col "b" Ty.Int; col "j1" Ty.Str; col "j2" Ty.Int ]
-    [
-      [| i 10; s "x"; i 1 |]; [| i 11; s "x"; i 1 |]; [| i 12; s "y"; i 2 |];
-    ]
-    [ (1, 1); (2, 2) ];
-  (* empty sides *)
-  join_case "empty probe"
-    [ col "a" Ty.Int ] []
-    [ col "b" Ty.Int ]
-    [ [| i 1 |] ]
-    [ (0, 0) ];
-  join_case "empty build"
-    [ col "a" Ty.Int ]
-    [ [| i 1 |] ]
-    [ col "b" Ty.Int ] []
-    [ (0, 0) ]
-
-(* ---- differential fuzz: compiled tiers vs the interpreter -------------- *)
+(* ---- differential fuzz: compiled closures vs the interpreter ----------- *)
 
 let fuzz_schema =
   [
@@ -676,97 +524,6 @@ let test_fuzz_long_in_lists () =
       Alcotest.(check bool) ("fuzz reached outcome " ^ o) true (Hashtbl.mem seen o))
     [ "TRUE"; "FALSE"; "NULL"; "error" ]
 
-(* predicates shaped to the batch tier's coverage — column-vs-literal
-   comparisons (both orientations), Kleene connectives, IS NULL, LIKE,
-   BETWEEN — with literal classes usually, not always, matching the
-   column, so both the typed kernels and the fallback-to-None edges run *)
-let rec gen_batch_expr rng depth =
-  let open Ast in
-  let cmp () =
-    let j = Random.State.int rng 5 in
-    let c = col (col_name j) in
-    let lit =
-      (* same-class literal three times out of four *)
-      Lit
-        (gen_value rng
-           (if Random.State.int rng 4 = 0 then Random.State.int rng 5 else j))
-    in
-    let op = List.nth [ Eq; Neq; Lt; Le; Gt; Ge ] (Random.State.int rng 6) in
-    if Random.State.bool rng then Binop (op, c, lit) else Binop (op, lit, c)
-  in
-  if depth = 0 then cmp ()
-  else
-    match Random.State.int rng 8 with
-    | 0 ->
-        Binop
-          (And, gen_batch_expr rng (depth - 1), gen_batch_expr rng (depth - 1))
-    | 1 ->
-        Binop
-          (Or, gen_batch_expr rng (depth - 1), gen_batch_expr rng (depth - 1))
-    | 2 -> Unop (Not, gen_batch_expr rng (depth - 1))
-    | 3 ->
-        Is_null
-          {
-            arg = col (col_name (Random.State.int rng 5));
-            negated = Random.State.bool rng;
-          }
-    | 4 ->
-        Like
-          {
-            arg = col "t";
-            pattern =
-              List.nth [ "al%"; "%a"; "_eta"; "%"; "" ] (Random.State.int rng 5);
-            negated = Random.State.bool rng;
-          }
-    | 5 ->
-        let j = Random.State.int rng 5 in
-        Between
-          {
-            arg = col (col_name j);
-            lo = Lit (gen_value rng j);
-            hi = Lit (gen_value rng j);
-            negated = Random.State.bool rng;
-          }
-    | _ -> cmp ()
-
-let test_fuzz_compile_batch () =
-  let rng = Random.State.make [| 90210 |] in
-  let covered = ref 0 in
-  for _ = 1 to 800 do
-    let e = gen_batch_expr rng 2 in
-    let nrows = 1 + Random.State.int rng 40 in
-    let rows = List.init nrows (fun _ -> gen_row rng) in
-    let b = Batch.of_rows fuzz_schema rows in
-    match Compile.compile_batch b e with
-    | None -> ()
-    | Some kernel ->
-        incr covered;
-        (* evaluate in two uneven windows to exercise the lo/len path *)
-        let split = nrows / 2 in
-        let t1, n1 = kernel 0 split and t2, n2 = kernel split (nrows - split) in
-        List.iteri
-          (fun k row ->
-            let t_bit, n_bit =
-              if k < split then (Batch.mask_get t1 k, Batch.mask_get n1 k)
-              else
-                ( Batch.mask_get t2 (k - split),
-                  Batch.mask_get n2 (k - split) )
-            in
-            let want = Eval.eval ctx (Eval.env fuzz_schema row) e in
-            let want_t = want = Value.Bool true in
-            let want_n = Value.is_null want in
-            if t_bit <> want_t || n_bit <> want_n then
-              Alcotest.failf
-                "batch kernel diverges at row %d: kernel (t=%b,n=%b) vs \
-                 interpreter %s"
-                k t_bit n_bit (Value.to_string want))
-          rows
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "fuzz exercised the batch compiler (%d kernels)" !covered)
-    true
-    (!covered > 100)
-
 (* ---- chunk-size invariance of the full pipeline ------------------------ *)
 
 (* same three-database federation as test_observability: a global join
@@ -933,26 +690,10 @@ let test_chunk_size_invariant_metrics () =
 let () =
   Alcotest.run "batch"
     [
-      ( "layout",
-        [
-          Alcotest.test_case "of_rows/to_rows round-trip" `Quick test_roundtrip;
-          Alcotest.test_case "column classes" `Quick test_column_classes;
-          Alcotest.test_case "size_bytes parity" `Quick test_size_bytes_parity;
-          Alcotest.test_case "project shares columns" `Quick
-            test_project_zero_copy;
-          Alcotest.test_case "mask filter" `Quick test_mask_filter;
-        ] );
-      ( "join",
-        [
-          Alcotest.test_case "batch join == row join" `Quick
-            test_hash_join_matches_row_join;
-        ] );
       ( "differential",
         [
           Alcotest.test_case "compiled row closures vs interpreter" `Quick
             test_fuzz_compile_row;
-          Alcotest.test_case "batch kernels vs interpreter" `Quick
-            test_fuzz_compile_batch;
           Alcotest.test_case "long IN lists vs list scan" `Quick
             test_fuzz_long_in_lists;
           Alcotest.test_case "DML and GROUP BY vs interpreter" `Quick

@@ -42,6 +42,46 @@ let scalar s sql = match rows_of (q s sql) with
   | [ [| v |] ] -> v
   | _ -> Alcotest.fail "expected a single scalar"
 
+(* ---- keys by SQL equality -------------------------------------------------- *)
+
+(* GROUP BY, DISTINCT, COUNT(DISTINCT) and UNIQUE meet values exactly when
+   [=] does: 1.000001 and 1.000002 stay apart (their %g texts agree),
+   while 0.0 and -0.0, and 3 and 3.0, are one key. NULLs group together,
+   and groups keep first-occurrence order. *)
+let test_keys_follow_sql_equality () =
+  let db = Ldbms.Database.create "k" in
+  Ldbms.Database.load db ~name:"m"
+    [ Schema.column "g" Ty.Float; Schema.column "v" Ty.Int ]
+    (List.map
+       (fun (g, v) -> [| g; Value.Int v |])
+       [ (Value.Float 1.000001, 1); (Value.Float 1.000002, 2); (Value.Float 0.0, 3);
+         (Value.Null, 4); (Value.Float (-0.0), 5); (Value.Int 3, 6);
+         (Value.Float 3.0, 7); (Value.Null, 8) ]);
+  let s = Session.connect db Caps.ingres_like in
+  let show rows = List.map (fun r -> List.map Value.to_literal (Array.to_list r)) rows in
+  Alcotest.(check (list (list string)))
+    "GROUP BY"
+    [ [ "1.000001"; "1" ]; [ "1.000002"; "1" ]; [ "0.0"; "2" ]; [ "NULL"; "2" ];
+      [ "3"; "2" ] ]
+    (show (rows_of (q s "SELECT g, COUNT(*) FROM m GROUP BY g")));
+  Alcotest.(check (list (list string)))
+    "SELECT DISTINCT"
+    [ [ "1.000001" ]; [ "1.000002" ]; [ "0.0" ]; [ "NULL" ]; [ "3" ] ]
+    (show (rows_of (q s "SELECT DISTINCT g FROM m")));
+  Alcotest.check value "COUNT(DISTINCT)" (Value.Int 4)
+    (scalar s "SELECT COUNT(DISTINCT g) FROM m");
+  Alcotest.check value "SUM(DISTINCT)" (Value.Float (1.000001 +. 1.000002 +. 0.0 +. 3.0))
+    (scalar s "SELECT SUM(DISTINCT g) FROM m");
+  (match q s "CREATE TABLE u (x FLOAT UNIQUE)" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "1.000001" 1 (affected (q s "INSERT INTO u VALUES (1.000001)"));
+  Alcotest.(check int) "1.000002 is another value" 1
+    (affected (q s "INSERT INTO u VALUES (1.000002)"));
+  Alcotest.(check int) "0.0" 1 (affected (q s "INSERT INTO u VALUES (0.0)"));
+  expect_error (q s "INSERT INTO u VALUES (-0.0)");
+  expect_error (q s "INSERT INTO u VALUES (0)")
+
 (* ---- SELECT ---------------------------------------------------------------- *)
 
 let test_select_where () =
@@ -461,6 +501,8 @@ let () =
           Alcotest.test_case "order/distinct" `Quick test_select_order_distinct;
           Alcotest.test_case "aggregates" `Quick test_select_aggregates;
           Alcotest.test_case "group by/having" `Quick test_group_by_having;
+          Alcotest.test_case "keys follow SQL equality" `Quick
+            test_keys_follow_sql_equality;
           Alcotest.test_case "joins" `Quick test_join_product;
           Alcotest.test_case "subqueries" `Quick test_subqueries;
           Alcotest.test_case "ambiguity" `Quick test_ambiguous_column;

@@ -36,6 +36,16 @@ let test_use_alias () =
   Alcotest.(check bool) "find by name" true
     (A.find_in_scope q.A.scope "delta" <> None)
 
+(* the MSQL lexer shares the SQL number lexer: exponents included *)
+let test_float_exponent () =
+  let q =
+    parse_q "USE continental SELECT flnu FROM flights WHERE rate > 1e-05"
+  in
+  match q.A.body with
+  | S.Select { where = Some (S.Binop (S.Gt, _, S.Lit (Sqlcore.Value.Float f))); _ } ->
+      Alcotest.(check (float 0.0)) "1e-05" 1e-05 f
+  | _ -> Alcotest.fail "expected rate > 1e-05"
+
 let test_let () =
   let q =
     parse_q
@@ -186,6 +196,7 @@ let () =
           Alcotest.test_case "vital" `Quick test_use_vital;
           Alcotest.test_case "alias" `Quick test_use_alias;
           Alcotest.test_case "current flag" `Quick test_use_current_flag;
+          Alcotest.test_case "float exponent" `Quick test_float_exponent;
         ] );
       ( "let",
         [

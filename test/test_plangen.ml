@@ -189,6 +189,74 @@ let test_programs_reparse () =
       "USE continental delta UPDATE flight% SET rate% = 1";
     ]
 
+(* Float literals ship in a form the site reads back as the same float:
+   [100.0000001] once shipped as [100] (losing flight 101, rate 100.0)
+   and [0.00001] as [1e-05], which the site lexer rejected. *)
+let float_queries =
+  [
+    ( "USE continental SELECT flnu, rate FROM flights WHERE rate < 100.0000001",
+      "(rate < 100.0000001)" );
+    ( "USE continental SELECT flnu, rate FROM flights WHERE rate > 0.00001",
+      "(rate > 1e-05)" );
+  ]
+
+let contains hay needle = Astring_contains.contains hay needle
+
+let test_float_literals_ship_exactly () =
+  List.iter
+    (fun (sql, shipped) ->
+      match find_tasks (translate sql) with
+      | [ t ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s ships %s (got %s)" sql shipped t.D.commands)
+            true
+            (contains t.D.commands shipped)
+      | ts -> Alcotest.failf "%s: %d tasks" sql (List.length ts))
+    float_queries
+
+(* the federated result equals the same SELECT run at the site itself *)
+let test_float_literals_match_site () =
+  List.iter
+    (fun (sql, _) ->
+      let fx = F.make () in
+      let local_sql =
+        String.sub sql (String.length "USE continental ")
+          (String.length sql - String.length "USE continental ")
+      in
+      let svc = Narada.Directory.find fx.F.directory "continental" in
+      let site =
+        Ldbms.Session.connect svc.Narada.Service.database svc.Narada.Service.caps
+      in
+      let want =
+        match Ldbms.Session.exec_sql site local_sql with
+        | Ok (Ldbms.Session.Rows r) -> r
+        | Ok _ -> Alcotest.fail "site: not rows"
+        | Error m -> Alcotest.fail ("site: " ^ m)
+      in
+      match M.exec fx.F.session sql with
+      | Ok (M.Multitable mt) -> (
+          match Msql.Multitable.find mt "continental" with
+          | Some got ->
+              Alcotest.(check (list (list string)))
+                sql
+                (List.map
+                   (fun r -> List.map Sqlcore.Value.to_string (Sqlcore.Row.to_list r))
+                   (Sqlcore.Relation.rows want))
+                (List.map
+                   (fun r -> List.map Sqlcore.Value.to_string (Sqlcore.Row.to_list r))
+                   (Sqlcore.Relation.rows got))
+          | None -> Alcotest.failf "%s: no continental part" sql)
+      | Ok r -> Alcotest.failf "%s: %s" sql (M.result_to_string r)
+      | Error m -> Alcotest.failf "%s: %s" sql m)
+    float_queries;
+  (* and the first query keeps the flight at exactly 100.0 *)
+  let fx = F.make () in
+  match M.exec fx.F.session (fst (List.hd float_queries)) with
+  | Ok r ->
+      Alcotest.(check bool) "flight 101 kept" true
+        (contains (M.result_to_string r) "101")
+  | Error m -> Alcotest.fail m
+
 let () =
   Alcotest.run "plangen"
     [
@@ -208,4 +276,11 @@ let () =
         [ Alcotest.test_case "cascade" `Quick test_mtx_cascade_structure ] );
       ( "syntax",
         [ Alcotest.test_case "reparse" `Quick test_programs_reparse ] );
+      ( "float literals",
+        [
+          Alcotest.test_case "shipped text reads back exactly" `Quick
+            test_float_literals_ship_exactly;
+          Alcotest.test_case "result equals the site's own" `Quick
+            test_float_literals_match_site;
+        ] );
     ]

@@ -196,7 +196,6 @@ let test_server_matches_interleave () =
           in
           M.set_shared_caches s sc;
           M.set_shared_pool s pool;
-          M.set_domains s 1;
           s)
     in
     (* one wave per statement rank, like the server's rounds *)

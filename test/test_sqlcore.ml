@@ -73,6 +73,146 @@ let test_hash_join_exact_bigint_keys () =
   Alcotest.(check int) "int matches its exact float image" 1
     (Relation.cardinality (Relation.hash_join a c ~keys:[ (0, 0) ]))
 
+(* [hash_join] against its definition: the product, filtered on SQL
+   equality of every key pair (NULL never matches), same rows in the same
+   order. The shapes are the ones a hash table gets wrong: duplicate and
+   skewed keys, ints above 2^53, NULL keys, empty sides, Int/Float keys
+   that compare numerically, keys of other classes that must not. *)
+let mk_rel prefix tys rows =
+  Relation.make
+    (List.mapi (fun k ty -> Schema.column (Printf.sprintf "%s%d" prefix k) ty) tys)
+    rows
+
+let check_join name a b keys =
+  let on row =
+    let na = Schema.arity (Relation.schema a) in
+    List.for_all
+      (fun (ka, kb) ->
+        let va = row.(ka) and vb = row.(na + kb) in
+        (not (Value.is_null va)) && (not (Value.is_null vb)) && Value.equal va vb)
+      keys
+  in
+  let want = Relation.filter on (Relation.product a b) in
+  let got = Relation.hash_join a b ~keys in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d row(s), as the filtered product" name
+       (Relation.cardinality want))
+    true (Relation.equal got want);
+  got
+
+let ii = [ Ty.Int; Ty.Int ]
+let big = 9007199254740992 (* 2^53 *)
+
+let test_join_uniform () =
+  ignore
+    (check_join "uniform"
+       (mk_rel "p" ii (List.init 170 (fun k -> [| Value.Int k; Value.Int (k mod 60) |])))
+       (mk_rel "b" ii (List.init 200 (fun k -> [| Value.Int k; Value.Int (k mod 50) |])))
+       [ (1, 1) ])
+
+let test_join_skewed () =
+  (* every build row carries the same key: one bucket holds them all *)
+  ignore
+    (check_join "skewed"
+       (mk_rel "p" ii
+          (List.init 90 (fun k ->
+               [| Value.Int k; Value.Int (if k mod 3 = 0 then 7 else k) |])))
+       (mk_rel "b" ii (List.init 120 (fun k -> [| Value.Int k; Value.Int 7 |])))
+       [ (1, 1) ])
+
+let test_join_few_keys () =
+  (* two distinct build keys over sixty rows, probed with four: half the
+     probe rows find nothing, the other half find thirty matches each (the
+     name is from a partitioned join, where most partitions held no key) *)
+  ignore
+    (check_join "few distinct keys"
+       (mk_rel "p" ii (List.init 40 (fun k -> [| Value.Int k; Value.Int (k mod 4) |])))
+       (mk_rel "b" ii (List.init 60 (fun k -> [| Value.Int k; Value.Int (k mod 2) |])))
+       [ (1, 1) ])
+
+let test_join_bigint_keys () =
+  (* adjacent Ints above 2^53 share a float image and must stay apart *)
+  let got =
+    check_join "bigint"
+      (mk_rel "p" ii [ [| Value.Int 10; Value.Int big |]; [| Value.Int 11; Value.Int (big + 1) |] ])
+      (mk_rel "b" ii
+         [ [| Value.Int 0; Value.Int big |]; [| Value.Int 1; Value.Int (big + 1) |];
+           [| Value.Int 2; Value.Int (big + 2) |] ])
+      [ (1, 1) ]
+  in
+  Alcotest.(check int) "bigint: exactly the two true matches" 2
+    (Relation.cardinality got)
+
+let test_join_null_keys () =
+  (* NULL keys never match, on either side *)
+  let got =
+    check_join "NULL keys on both sides"
+      (mk_rel "p" ii [ [| Value.Int 10; Value.Null |]; [| Value.Int 11; Value.Int 5 |] ])
+      (mk_rel "b" ii
+         [ [| Value.Int 0; Value.Null |]; [| Value.Int 1; Value.Int 5 |];
+           [| Value.Int 2; Value.Null |] ])
+      [ (1, 1) ]
+  in
+  Alcotest.(check int) "null keys: single non-null match" 1
+    (Relation.cardinality got)
+
+let test_join_empty_sides () =
+  let some = mk_rel "x" ii (List.init 30 (fun k -> [| Value.Int k; Value.Int (k mod 5) |])) in
+  let none = mk_rel "y" ii [] in
+  List.iter
+    (fun (name, a, b) -> ignore (check_join name a b [ (1, 1) ]))
+    [ ("empty build", some, none); ("empty probe", none, some); ("both empty", none, none) ]
+
+let test_join_multikey_mixed () =
+  (* two key columns, one carrying mixed Int/Float values that compare
+     numerically equal across classes *)
+  let got =
+    check_join "multikey mixed Int/Float"
+      (mk_rel "p" [ Ty.Int; Ty.Float ]
+         (List.init 70 (fun k ->
+              [| Value.Int (k mod 12);
+                 (if k mod 3 = 0 then Value.Float (float_of_int (k mod 4))
+                  else Value.Int (k mod 4)) |])))
+      (mk_rel "b" [ Ty.Int; Ty.Float ]
+         (List.init 80 (fun k ->
+              [| Value.Int (k mod 10);
+                 (if k mod 2 = 0 then Value.Int (k mod 4)
+                  else Value.Float (float_of_int (k mod 4))) |])))
+      [ (0, 0); (1, 1) ]
+  in
+  Alcotest.(check bool) "multikey: joins across Int/Float classes" true
+    (Relation.cardinality got > 0)
+
+let test_hash_join_vs_product () =
+  let i x = Value.Int x and f x = Value.Float x and null = Value.Null in
+  let check name a b keys = ignore (check_join name a b keys) in
+  check "duplicates, NULL and big ints"
+    (mk_rel "a" ii
+       [ [| i 0; i 7 |]; [| i 1; i 7 |]; [| i 2; null |]; [| i 3; i big |];
+         [| i 4; i (big + 2) |]; [| i 5; i (-3) |] ])
+    (mk_rel "b" ii
+       [ [| i 10; i 7 |]; [| i 11; i big |]; [| i 12; null |]; [| i 13; i 7 |];
+         [| i 14; i (-3) |]; [| i 15; i (big + 1) |] ])
+    [ (1, 1) ];
+  check "mixed numeric classes"
+    (mk_rel "a" ii [ [| i 0; i 5 |]; [| i 1; i big |]; [| i 2; i 9 |]; [| i 3; i 0 |] ])
+    (mk_rel "b" [ Ty.Int; Ty.Float ]
+       [ [| i 10; f 5.0 |]; [| i 11; f (float_of_int big) |]; [| i 12; f 9.5 |];
+         [| i 13; f (-0.0) |]; [| i 14; f (float_of_int big +. 2.0) |] ])
+    [ (1, 1) ];
+  check "string and int keys"
+    (mk_rel "a" [ Ty.Int; Ty.Str; Ty.Int ]
+       [ [| i 0; Value.Str "x"; i 1 |]; [| i 1; Value.Str "x"; i 2 |];
+         [| i 2; null; i 1 |]; [| i 3; Value.Str "5"; i 1 |] ])
+    (mk_rel "b" [ Ty.Int; Ty.Str; Ty.Int ]
+       [ [| i 10; Value.Str "x"; i 1 |]; [| i 11; Value.Str "x"; i 1 |];
+         [| i 12; Value.Str "y"; i 2 |]; [| i 13; Value.Str "5"; i 1 |] ])
+    [ (1, 1); (2, 2) ];
+  check "other classes never meet"
+    (mk_rel "a" [ Ty.Str ] [ [| Value.Str "1" |]; [| Value.Bool true |]; [| i 1 |] ])
+    (mk_rel "b" [ Ty.Int ] [ [| i 1 |]; [| Value.Str "1" |]; [| Value.Bool true |] ])
+    [ (0, 0) ]
+
 let test_equal_unordered_mixed () =
   (* Int/Float mixed multisets: sorting by compare interleaves the two
      classes, and equal agrees with the sort order, so numerically equal
@@ -366,6 +506,16 @@ let () =
             test_equal_unordered_mixed;
           Alcotest.test_case "hash join exact keys above 2^53" `Quick
             test_hash_join_exact_bigint_keys;
+          Alcotest.test_case "hash join vs filtered product" `Quick
+            test_hash_join_vs_product;
+          Alcotest.test_case "uniform keys" `Quick test_join_uniform;
+          Alcotest.test_case "skewed keys" `Quick test_join_skewed;
+          Alcotest.test_case "empty partitions" `Quick test_join_few_keys;
+          Alcotest.test_case "bigint keys" `Quick test_join_bigint_keys;
+          Alcotest.test_case "null keys" `Quick test_join_null_keys;
+          Alcotest.test_case "empty sides" `Quick test_join_empty_sides;
+          Alcotest.test_case "multikey mixed classes" `Quick
+            test_join_multikey_mixed;
         ] );
       ( "scan",
         [

@@ -32,6 +32,21 @@ let test_lexer_error () =
       Alcotest.failf "wrong position %d:%d" l c
   | _ -> Alcotest.fail "expected lexer error"
 
+(* a float may carry an exponent; a bare [e] after a number stays an
+   identifier (an alias, say), and only a fraction or exponent makes a float *)
+let test_lexer_exponent () =
+  (match toks "1e-05 2.5E+3 7e2 3" with
+  | [ Token.Float a; Token.Float b; Token.Float c; Token.Int 3; Token.Eof ] ->
+      Alcotest.(check (float 0.0)) "1e-05" 1e-05 a;
+      Alcotest.(check (float 0.0)) "2.5E+3" 2500.0 b;
+      Alcotest.(check (float 0.0)) "7e2" 700.0 c
+  | _ -> Alcotest.fail "exponent lexing");
+  match toks "1e 2e+x" with
+  | [ Token.Int 1; Token.Ident "e"; Token.Int 2; Token.Ident "e"; Token.Sym "+";
+      Token.Ident "x"; Token.Eof ] ->
+      ()
+  | _ -> Alcotest.fail "an e not followed by digits is an identifier"
+
 (* ---- parser -------------------------------------------------------------- *)
 
 let roundtrips s =
@@ -194,6 +209,36 @@ let prop_expr_roundtrip =
             (Ast.Update { table = "t"; assignments = [ ("x", e2) ]; where = None })
       | _ -> false)
 
+(* a float literal printed into shipped SQL parses back to the same float,
+   across magnitudes where %g would round (100.0000001 -> 100) or print
+   an exponent (1e-05) *)
+let gen_float =
+  let open QCheck.Gen in
+  oneof
+    [
+      map2 (fun m e -> Float.ldexp m e) (float_bound_inclusive 1.0)
+        (int_range (-80) 80);
+      map (fun k -> 100.0 +. (float_of_int k *. 1e-7)) (int_range 1 50);
+      map (fun k -> float_of_int k *. 1e-5) (int_range 1 1000);
+      map (fun k -> 1e15 +. float_of_int k) (int_range 0 1000);
+      oneofl [ 0.1; 1e-300; 5e-324; 1e300; Float.max_float; 9007199254740993.0 ];
+    ]
+
+let prop_float_roundtrip =
+  QCheck.Test.make ~name:"float literal print/parse roundtrip" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_float) (fun f ->
+      let s =
+        "SELECT a FROM t WHERE "
+        ^ Sql_pp.expr_to_string
+            (Ast.Binop (Ast.Lt, Ast.col "rate", Ast.Lit (Sqlcore.Value.Float f)))
+      in
+      match Parser.parse_stmt s with
+      | Ast.Select
+          { where = Some (Ast.Binop (Ast.Lt, _, Ast.Lit (Sqlcore.Value.Float g))); _ }
+        ->
+          Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | _ -> false)
+
 let () =
   Alcotest.run "sqlfront"
     [
@@ -202,6 +247,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_lexer_basic;
           Alcotest.test_case "comments" `Quick test_lexer_comments;
           Alcotest.test_case "error position" `Quick test_lexer_error;
+          Alcotest.test_case "exponent" `Quick test_lexer_exponent;
         ] );
       ( "parser",
         [
@@ -221,5 +267,6 @@ let () =
           Alcotest.test_case "tables_of_stmt" `Quick test_tables_of_stmt;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_expr_roundtrip ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_expr_roundtrip; prop_float_roundtrip ] );
     ]

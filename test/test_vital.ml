@@ -218,6 +218,82 @@ let test_non_vital_retrieval_partial_result () =
         (Msql.Multitable.databases mt)
   | r -> Alcotest.fail ("expected multitable, got " ^ M.result_to_string r)
 
+(* ---- 2PC second phase: max of branches, not sum ----------------------- *)
+
+(* three 2PC sites with distinct pure latencies and zero per-byte cost,
+   so every message costs exactly the remote site's latency *)
+let graded_world () =
+  let world = Netsim.World.create () in
+  let dir = Narada.Directory.create () in
+  List.iter
+    (fun (svc, site, lat) ->
+      Netsim.World.add_site world
+        (Netsim.Site.make ~latency_ms:lat ~per_byte_ms:0.0 site);
+      let db = Ldbms.Database.create svc in
+      Ldbms.Database.load db ~name:"flights"
+        [ Schema.column "flnu" Ty.Int; Schema.column "rate" Ty.Float ]
+        [ [| Value.Int 1; Value.Float 100.0 |] ];
+      Narada.Directory.register dir
+        (Narada.Service.make ~site ~caps:Ldbms.Capabilities.ingres_like db))
+    [ ("alpha", "fast", 10.0); ("beta", "mid", 20.0); ("gamma", "slow", 40.0) ];
+  (world, dir)
+
+let e3_shape_program =
+  {|
+DOLBEGIN
+  OPEN alpha AT fast AS c1;
+  OPEN beta AT mid AS c2;
+  OPEN gamma AT slow AS c3;
+  PARBEGIN
+    TASK T1 NOCOMMIT FOR c1 { UPDATE flights SET rate = rate * 1.1 } ENDTASK;
+    TASK T2 NOCOMMIT FOR c2 { UPDATE flights SET rate = rate * 1.1 } ENDTASK;
+    TASK T3 NOCOMMIT FOR c3 { UPDATE flights SET rate = rate * 1.1 } ENDTASK;
+  PAREND;
+  IF (T1=P) AND (T2=P) AND (T3=P) THEN
+  BEGIN COMMIT T1, T2, T3; DOLSTATUS = 0; END;
+  CLOSE c1 c2 c3;
+DOLEND
+|}
+
+(* each commit verb is a round trip of 2 x latency; accounted as
+   concurrent branches the phase costs the slowest site's 80 ms, not the
+   serial 140 ms *)
+let test_commit_phase_is_max_of_branches () =
+  let module Trace = Narada.Trace in
+  let world, dir = graded_world () in
+  let events = ref [] in
+  (match
+     Narada.Engine.run_text
+       ~on_trace:(fun e -> events := e :: !events)
+       ~directory:dir ~world e3_shape_program
+   with
+  | Ok o -> Alcotest.(check int) "committed" 0 o.Narada.Engine.dolstatus
+  | Error m -> Alcotest.fail m);
+  let events = List.rev !events in
+  let decision_at =
+    match
+      List.find_opt
+        (fun e ->
+          match e.Trace.kind with
+          | Trace.Decision { verdict = Trace.Commit; _ } -> true
+          | _ -> false)
+        events
+    with
+    | Some e -> e.Trace.at_ms
+    | None -> Alcotest.fail "no commit decision event"
+  in
+  let last_c =
+    List.fold_left
+      (fun acc e ->
+        match e.Trace.kind with
+        | Trace.Status { status = D.C; _ } -> max acc e.Trace.at_ms
+        | _ -> acc)
+      decision_at events
+  in
+  let phase = last_c -. decision_at in
+  Alcotest.(check (float 1e-6)) "phase = slowest round trip" 80.0 phase;
+  Alcotest.(check bool) "not the serial sum" true (phase < 140.0)
+
 let () =
   Alcotest.run "vital"
     [
@@ -238,6 +314,11 @@ let () =
           Alcotest.test_case "path 4: both abort" `Quick test_e4_path4_both_abort;
           Alcotest.test_case "refusal without comp" `Quick test_two_autocommit_vitals_refused_without_comp;
           Alcotest.test_case "single autocommit vital" `Quick test_single_autocommit_vital_allowed;
+        ] );
+      ( "2pc fan-out",
+        [
+          Alcotest.test_case "commit phase is max of" `Quick
+            test_commit_phase_is_max_of_branches;
         ] );
       ( "vital retrieval",
         [
